@@ -54,7 +54,7 @@ from .expectation import (
     mean_alpha_prime_eps,
     regime_classify,
 )
-from .fbm import SynthesisError, generate_path
+from .fbm import _MAX_SEED, SynthesisError, generate_path
 from .mollifier import Mollifier
 from .regularity import (
     TestFunction,
@@ -66,8 +66,6 @@ from .regularity import (
 )
 
 __all__ = ["main", "ConfigError"]
-
-_MAX_SEED = 2**64
 
 
 class ConfigError(Exception):
@@ -95,7 +93,10 @@ class Field:
 
 
 def _float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s.strip()!r}")
+    return v
 
 
 def _int(s):
@@ -115,7 +116,7 @@ def _floats(s):
     s = s.strip()
     if not s:
         return []
-    return [float(tok) for tok in s.split(",")]
+    return [_float(tok) for tok in s.split(",")]
 
 
 def _str(s):
@@ -257,10 +258,6 @@ _F_SEED = Field("seed", _int, default=0, check=_seed_ok, help="base RNG seed")
 _F_EPS = Field("epsilon", _float, default=0.01, check=_positive, help="mollifier width")
 _F_REPL = Field("replicates", _int, default=1, check=_at_least(1),
                 help="independent paths, seeds base..base+r-1")
-
-
-def _cfgget(cfg, name):
-    return cfg[name]
 
 
 def _parse_region(spec: str, horizon: float):

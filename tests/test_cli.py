@@ -2,7 +2,7 @@
 
 Tests cover:
   1. Configuration handling: file + override + flag precedence, unknown
-     keys, per-field diagnostics on exit code 2.
+     keys, non-finite numbers, per-field diagnostics on exit code 2.
   2. Output discipline: schema-tagged CSV, manifest checksums,
      byte-identical reruns, the output-root environment variable.
   3. Each subcommand end to end on small workloads, including the
@@ -92,6 +92,23 @@ class TestConfiguration:
                    "--output", str(tmp_path / "o")])
         assert rc == 2
         assert "config" in _last_json(capsys.readouterr().err)["fields"]
+
+    @pytest.mark.parametrize("argv,field", [
+        (["estimate", "--H", "0.5", "--y", "nan"], "y"),
+        (["estimate", "--H", "0.5", "--epsilon", "inf"], "epsilon"),
+        (["simulate", "--H", "0.5", "--t", "inf"], "t"),
+        (["sweep", "--H-grid", "0.5", "--y", "nan", "--workers", "1"], "y"),
+        (["sweep", "--H-grid", "0.5,-inf", "--workers", "1"], "H-grid"),
+    ], ids=["estimate-y-nan", "estimate-epsilon-inf", "simulate-t-inf",
+            "sweep-y-nan", "sweep-H-grid-minus-inf"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "o"
+        rc = main(argv + ["--output", str(out)])
+        record = _last_json(capsys.readouterr().err)
+        assert rc == 2
+        assert record["error"] == "invalid-config"
+        assert "must be finite" in record["fields"][field]
+        assert not (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

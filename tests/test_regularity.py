@@ -4,6 +4,7 @@ Tests cover:
   1. Test functions: constructors, derivative identities, validation.
   2. Occupation identities for alpha and its derivative, including the
      exact total-mass pin for g = 1 and the naive-quadrature cross-check.
+     The uniform-grid table lookup is checked against np.interp.
   3. Central-difference consistency of the derivative estimator.
   4. Structure-function regression on fields of known regularity, and the
      Holder-order threshold table.
@@ -15,12 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from siltlab.estimators import alpha_eps, dyadic_square, full_triangle
+from siltlab.estimators import _region_pair_sum, alpha_eps, dyadic_square, full_triangle
 from siltlab.fbm import FbmPath, generate_path
 from siltlab.mollifier import Mollifier
 from siltlab.regularity import (
     HolderReport,
     TestFunction,
+    _convolution_table,
+    _trapezoid_weights,
+    _uniform_lookup,
     continuity_probe_at_zero,
     derivative_consistency,
     holder_bound,
@@ -122,6 +126,54 @@ class TestOccupationAlpha:
         with pytest.raises(ValueError):
             occupation_check_alpha(path, TestFunction.gaussian(0.0, 1.0),
                                    np.linspace(-0.05, 0.05, 11), Mollifier(0.01))
+
+
+class TestUniformLookup:
+    """Index arithmetic on the uniform table agrees with np.interp."""
+
+    EPS = 0.01
+
+    def _table(self, derivative: bool):
+        path = generate_path(0.5, 1.0, 256, 1)
+        grid = _grid_for(path, self.EPS)
+        g = TestFunction.gaussian(0.0, 1.0)
+        gw = g.value(grid) * _trapezoid_weights(grid)
+        return path, g, grid, _convolution_table(path, grid, Mollifier(self.EPS),
+                                                 gw, derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_matches_interp(self, derivative: bool) -> None:
+        _, _, _, (xs, table) = self._table(derivative)
+        rng = np.random.default_rng(11)
+        d = np.concatenate([rng.uniform(xs[0], xs[-1], 100_000), xs[::97],
+                            xs[[0, 1, -2, -1]]])
+        got = _uniform_lookup(xs, table)(d)
+        want = np.interp(d, xs, table)
+        # the fractional index carries O(ulp(u)) error, times a table step that
+        # is small against max|table| once the nodes resolve the kernel
+        bound = 16.0 * np.spacing(np.max(np.abs(table)))
+        assert np.max(np.abs(got - want)) <= bound
+        assert got[-4] == table[0] and got[-1] == table[-1]
+
+    def test_constant_extension_and_nan(self) -> None:
+        _, _, _, (xs, table) = self._table(False)
+        step = xs[1] - xs[0]
+        d = np.array([xs[0] - 10.0 * step, xs[-1], xs[-1] + 10.0 * step,
+                      -np.inf, np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            got = _uniform_lookup(xs, table)(d)
+        assert got[0] == got[3] == table[0]
+        assert got[1] == got[2] == got[4] == table[-1]
+        assert np.isnan(got[5])
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_rhs_matches_interp_route(self, derivative: bool) -> None:
+        path, g, grid, (xs, table) = self._table(derivative)
+        check = occupation_check_derivative if derivative else occupation_check_alpha
+        _, rhs = check(path, g, grid, Mollifier(self.EPS))
+        region = full_triangle(path.horizon)
+        ref = _region_pair_sum(path, region, lambda d: np.interp(d, xs, table))
+        assert abs(rhs - ref) <= 1e-12 * abs(ref), f"rhs {rhs!r} vs interp {ref!r}"
 
 
 class TestOccupationDerivative:
