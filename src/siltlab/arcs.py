@@ -335,16 +335,15 @@ def connected_components(c: PairConfiguration):
         if open_arcs == 0:
             blocks.append(current)
             current = []
-    out = []
-    for block in blocks:
-        relabel = {}
-        word = []
-        for kind, idx in block:
-            if idx not in relabel:
-                relabel[idx] = len(relabel) + 1
-            word.append((kind, relabel[idx]))
-        out.append(PairConfiguration(tuple(word)))
-    return out
+    return [_relabeled(block) for block in blocks]
+
+
+def _relabeled(word) -> PairConfiguration:
+    """The word with arcs renumbered 1, 2, ... in order of first appearance."""
+    relabel = {}
+    for _, idx in word:
+        relabel.setdefault(idx, len(relabel) + 1)
+    return PairConfiguration(tuple((kind, relabel[idx]) for kind, idx in word))
 
 
 def relabeling_classes(configs):
@@ -355,14 +354,7 @@ def relabeling_classes(configs):
     """
     classes = {}
     for c in configs:
-        relabel = {}
-        word = []
-        for kind, idx in c.word:
-            if idx not in relabel:
-                relabel[idx] = len(relabel) + 1
-            word.append((kind, relabel[idx]))
-        key = PairConfiguration(tuple(word)).to_string()
-        classes.setdefault(key, []).append(c)
+        classes.setdefault(_relabeled(c.word).to_string(), []).append(c)
     return classes
 
 

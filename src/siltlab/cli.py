@@ -46,6 +46,7 @@ from .estimators import (
     epsilon_extrapolate,
     full_triangle,
     offset_triangle,
+    profile_index,
 )
 from .expectation import (
     QuadratureError,
@@ -517,16 +518,13 @@ def _holder_field(cfg):
              for k in range(cfg["replicates"])]
 
     if axis == "time":
+        samples = np.stack([alpha_time_profile(p, cfg["y"], m, kind != "alpha")
+                            for p in paths])
         if kind == "alpha":
-            samples = np.stack([alpha_time_profile(p, cfg["y"], m) for p in paths])
-            spacing = t / n
-        else:
-            t_grid = np.linspace(t / grid, t, grid)
-            samples = np.stack([
-                [alpha_prime_eps(p, cfg["y"], m, full_triangle(tj)).value
-                 for tj in t_grid] for p in paths])
-            spacing = float(t_grid[1] - t_grid[0])
-        return samples, spacing
+            return samples, t / n
+        t_grid = np.linspace(t / grid, t, grid)
+        return (samples[:, profile_index(paths[0], t_grid)],
+                float(t_grid[1] - t_grid[0]))
 
     if axis == "space":
         y_grid = np.linspace(cfg["y"] - cfg["y-half-width"],
@@ -548,26 +546,14 @@ def _holder_field(cfg):
     return samples, 1.0
 
 
-def _structure_function(samples, lags, axis):
-    f = np.asarray(samples, dtype=float)
-    out = []
-    for lag in lags:
-        if axis == "joint":
-            inc = f[:, lag:, lag:] - f[:, :-lag, :-lag]
-        else:
-            inc = f[:, lag:] - f[:, :-lag]
-        out.append(float(np.mean(inc * inc)))
-    return out
-
-
 def _compute_holder(cfg, outdir):
     samples, spacing = _holder_field(cfg)
     bound_kind = "alpha" if cfg["kind"] == "alpha" else "alpha_hat_prime"
     report = holder_exponent_estimate(samples, cfg["axis"], cfg["H"],
                                       kind=bound_kind)
-    msd = _structure_function(samples, report.regression_lags, cfg["axis"])
     fit_rows = [(math.log10(lag * spacing), math.log10(v))
-                for lag, v in zip(report.regression_lags, msd) if v > 0.0]
+                for lag, v in zip(report.regression_lags,
+                                  report.mean_square_increments) if v > 0.0]
     out_fit = io.write_csv(outdir / "holder_fit.csv", "holder-fit",
                            ("log10_lag", "log10_mean_square_increment"),
                            fit_rows)

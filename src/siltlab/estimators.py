@@ -6,6 +6,12 @@ rule on the path's uniform grid: each sample time owns the cell centered on
 it, so cell centers never sit on the diagonal and region membership is a
 half-open test on the centers.  A histogram local-time route and an
 epsilon-extrapolation utility complete the set.
+
+One pair engine evaluates every kernel on pair differences in a defined
+order: rectangle by rectangle, rows in increasing j, i increasing within a
+row (np.sum), rows summed sequentially (np.cumsum).  A time profile is the
+scaled cumulative row sum, so its entries equal the estimates over growing
+triangles bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ __all__ = [
     "alpha_prime_eps",
     "alpha_tilde_prime_eps",
     "alpha_time_profile",
+    "profile_index",
+    "pair_sum",
     "LocalTimeProfile",
     "local_time",
     "alpha_via_local_time",
@@ -138,19 +146,23 @@ class SiltEstimate:
     warning: str | None = None
 
 
-def _index_range(lo: float, hi: float, delta: float, n_max: int):
-    """Grid indices i with i*delta in [lo, hi), fuzzed, clipped to [0, n_max]."""
-    i_lo = max(0, math.ceil(lo / delta - _FUZZ))
-    i_hi = min(n_max + 1, math.ceil(hi / delta - _FUZZ))
-    return i_lo, i_hi
+def _grid_ceil(t, delta):
+    """Smallest grid index i with i*delta >= t, fuzzed; elementwise."""
+    return np.ceil(np.asarray(t, dtype=float) / delta - _FUZZ).astype(np.intp)
 
 
-def _region_pair_sum(path: FbmPath, region: Region, func, gap_weight=None) -> float:
-    """Sum delta^2 * w(gap) * func(B_j - B_i) over region grid pairs.
+def profile_index(path: FbmPath, times) -> np.ndarray:
+    """Entry of alpha_time_profile that equals the estimate over
+    full_triangle(t), for each 0 <= t <= horizon."""
+    return np.clip(_grid_ceil(times, path.delta), 0, path.n_steps)
 
-    Pairs stream by gap g = j - i so memory stays linear in n_steps.  The
-    per-rectangle subtotals are scaled independently, which makes estimates
-    over disjoint unions add up bitwise.
+
+def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
+    """Unscaled row sums of w(j - i) * func(B_j - B_i), one array per rectangle.
+
+    This is the only pair loop.  Rows come in increasing j, and row j sums
+    its admissible prefix i in [i0, min(i1, j - g_min + 1)) with np.sum.
+    ``weight``, if given, holds w(g) at index g - 1 for gaps g = 1..n_steps.
     """
     delta = path.delta
     n = path.n_steps
@@ -161,29 +173,50 @@ def _region_pair_sum(path: FbmPath, region: Region, func, gap_weight=None) -> fl
     values = path.values
     # strict clip s - r > kappa on cell centers: smallest admissible gap index
     g_min = max(1, math.floor(region.kappa / delta + _FUZZ) + 1)
-    total = 0.0
-    for r_lo, r_hi, s_lo, s_hi in region.rectangles:
-        i0, i1 = _index_range(r_lo, r_hi, delta, n)
-        j0, j1 = _index_range(s_lo, s_hi, delta, n)
-        if i1 <= i0 or j1 <= j0:
-            continue
-        subtotal = 0.0
-        for g in range(max(g_min, j0 - i1 + 1), j1 - i0):
-            lo = max(i0, j0 - g)
-            hi = min(i1, j1 - g)
-            if hi <= lo:
+    out = []
+    for rect in region.rectangles:
+        # half-open index ranges [i0, i1) x [j0, j1) of the grid times inside
+        i0, i1, j0, j1 = np.clip(_grid_ceil(rect, delta), 0, n + 1).tolist()
+        rows = np.zeros(max(0, j1 - j0))
+        for j in range(j0, j1):
+            hi = min(i1, j - g_min + 1)
+            if hi <= i0:
                 continue
-            d = values[lo + g : hi + g] - values[lo:hi]
-            block = float(np.sum(func(d)))
-            if gap_weight is not None:
-                block *= gap_weight(g * delta)
-            subtotal += block
-        total += delta * delta * subtotal
+            terms = func(values[j] - values[i0:hi])
+            if weight is not None:
+                terms = terms * weight[j - hi : j - i0][::-1]
+            rows[j - j0] = np.sum(terms)
+        out.append(rows)
+    return out
+
+
+def pair_sum(path: FbmPath, region: Region, func, weight=None) -> float:
+    """Sum delta^2 * w(j - i) * func(B_j - B_i) over the region's grid pairs.
+
+    Each rectangle's rows are summed sequentially and scaled on their own,
+    so estimates over disjoint unions add up bitwise and equal the
+    matching entry of a time profile.
+    """
+    total = 0.0
+    for rows in _row_sums(path, region, func, weight):
+        if rows.size:
+            total += path.delta * path.delta * float(np.cumsum(rows)[-1])
     return total
 
 
-def _estimate(path, y, m, region, kind, func, gap_weight=None, warning=None):
-    value = _region_pair_sum(path, region, func, gap_weight)
+def _kernel(y: float, m: Mollifier, derivative: bool):
+    """Pair kernel f_eps(d - y), or -f_eps'(d - y) for the derivative."""
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y!r}")
+    if derivative:
+        return lambda d: -f_eps_prime(d - y, m)
+    return lambda d: f_eps(d - y, m)
+
+
+def _estimate(path, y, m, region, kind, derivative, weight=None, warning=None):
+    if region is None:
+        region = full_triangle(path.horizon)
+    value = pair_sum(path, region, _kernel(y, m, derivative), weight)
     return SiltEstimate(
         kind=kind, hurst=path.hurst, horizon=path.horizon, n_steps=path.n_steps,
         seed=path.seed, y=float(y), epsilon=m.epsilon, region_id=region.label,
@@ -194,19 +227,13 @@ def _estimate(path, y, m, region, kind, func, gap_weight=None, warning=None):
 def alpha_eps(path: FbmPath, y: float, m: Mollifier,
               region: Region | None = None) -> SiltEstimate:
     """Mollified self-intersection local time: sum of f_eps(B_s - B_r - y)."""
-    if region is None:
-        region = full_triangle(path.horizon)
-    return _estimate(path, y, m, region, "alpha",
-                     lambda d: f_eps(d - y, m))
+    return _estimate(path, y, m, region, "alpha", derivative=False)
 
 
 def alpha_prime_eps(path: FbmPath, y: float, m: Mollifier,
                     region: Region | None = None) -> SiltEstimate:
     """Mollified derivative estimator: minus the sum of f_eps'(B_s - B_r - y)."""
-    if region is None:
-        region = full_triangle(path.horizon)
-    return _estimate(path, y, m, region, "alpha_hat_prime",
-                     lambda d: -f_eps_prime(d - y, m))
+    return _estimate(path, y, m, region, "alpha_hat_prime", derivative=True)
 
 
 def alpha_tilde_prime_eps(path: FbmPath, y: float, m: Mollifier) -> SiltEstimate:
@@ -215,33 +242,23 @@ def alpha_tilde_prime_eps(path: FbmPath, y: float, m: Mollifier) -> SiltEstimate
     Coincides with alpha_prime_eps at H = 1/2.  For H >= 2/3 the estimate
     carries a warning: the limiting object is not known to exist in L^2.
     """
-    h = path.hurst
-    region = full_triangle(path.horizon)
-    warning = None
-    if h >= 2.0 / 3.0:
-        warning = "H >= 2/3: kernel-weighted limit not known to exist in L^2"
-    power = 2.0 * h - 1.0
-    return _estimate(path, y, m, region, "alpha_tilde_prime",
-                     lambda d: -f_eps_prime(d - y, m),
-                     gap_weight=lambda u: u**power, warning=warning)
+    warning = ("H >= 2/3: kernel-weighted limit not known to exist in L^2"
+               if path.hurst >= 2.0 / 3.0 else None)
+    gaps = path.delta * np.arange(1, path.n_steps + 1)
+    return _estimate(path, y, m, None, "alpha_tilde_prime", derivative=True,
+                     weight=gaps ** (2.0 * path.hurst - 1.0), warning=warning)
 
 
-def alpha_time_profile(path: FbmPath, y: float, m: Mollifier) -> np.ndarray:
-    """alpha_eps over the growing triangles D_t for every grid time.
+def alpha_time_profile(path: FbmPath, y: float, m: Mollifier,
+                       derivative: bool = False) -> np.ndarray:
+    """alpha_eps (or alpha_prime_eps) over the growing triangles D_t.
 
-    Returns an array of length n_steps + 1 whose k-th entry equals
-    alpha_eps(path, y, m, full_triangle(t_k)), accumulated in one pass.
+    Returns an array of length n_steps + 1 whose k-th entry equals, bit for
+    bit, the estimator over full_triangle(t_k): the cumulative row sums of
+    the pair engine.  profile_index maps a time t to its entry.
     """
-    values = path.values
-    n = path.n_steps
-    delta = path.delta
-    row = np.zeros(n)
-    for j in range(1, n):
-        row[j] = float(np.sum(f_eps(values[j] - values[:j] - y, m)))
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(row * (delta * delta), out=out[1:])
-    return out
+    (rows,) = _row_sums(path, full_triangle(path.horizon), _kernel(y, m, derivative))
+    return np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
 
 
 @dataclass(frozen=True)

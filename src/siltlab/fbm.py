@@ -189,7 +189,7 @@ def generate_path(
     Parameters
     ----------
     hurst : float in (0, 1)
-    horizon : positive final time.
+    horizon : positive, finite final time.
     n_steps : number of uniform grid steps (path has n_steps + 1 samples).
     seed : integer in [0, 2^64); identical seeds reproduce identical paths.
     method : "auto" (circulant embedding, Cholesky on rejection),
@@ -201,8 +201,8 @@ def generate_path(
         If the requested or fallback factorization fails.
     """
     h = check_hurst(hurst)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     seed = int(seed)

@@ -28,8 +28,8 @@ class Mollifier:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 def _safe_exp(arg):

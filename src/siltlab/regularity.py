@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .estimators import Region, _region_pair_sum, alpha_eps, alpha_prime_eps, full_triangle
+from .estimators import Region, alpha_eps, alpha_prime_eps, full_triangle, pair_sum
 from .expectation import mean_alpha_prime_eps
 from .fbm import FbmPath, check_hurst, generate_path
 from .mollifier import Mollifier, f_eps, f_eps_prime
@@ -210,10 +210,10 @@ def occupation_check_alpha(path: FbmPath, g: TestFunction, y_grid, m: Mollifier,
     mollified alpha profile on y_grid.  Returns (lhs, rhs).
     """
     y_grid, region = _prepare(path, g, y_grid, m, region)
-    lhs = _region_pair_sum(path, region, lambda d: g.value(d))
+    lhs = pair_sum(path, region, lambda d: g.value(d))
     gw = g.value(y_grid) * _trapezoid_weights(y_grid)
     xs, table = _convolution_table(path, y_grid, m, gw, derivative=False)
-    rhs = _region_pair_sum(path, region, _uniform_lookup(xs, table))
+    rhs = pair_sum(path, region, _uniform_lookup(xs, table))
     return lhs, rhs
 
 
@@ -225,12 +225,12 @@ def occupation_check_derivative(path: FbmPath, g: TestFunction, y_grid,
     against the mollified derivative profile.  Returns (lhs, rhs).
     """
     y_grid, region = _prepare(path, g, y_grid, m, region)
-    lhs = _region_pair_sum(path, region, lambda d: g.derivative(d))
+    lhs = pair_sum(path, region, lambda d: g.derivative(d))
     gw = g.value(y_grid) * _trapezoid_weights(y_grid)
     xs, table = _convolution_table(path, y_grid, m, gw, derivative=True)
     # rhs = -sum_k w_k g_k alpha'(y_k); alpha' carries its own minus sign,
     # so the pair-first reordering leaves a plus here.
-    rhs = _region_pair_sum(path, region, _uniform_lookup(xs, table))
+    rhs = pair_sum(path, region, _uniform_lookup(xs, table))
     return lhs, rhs
 
 
@@ -267,6 +267,7 @@ class HolderReport:
     theoretical_bound: float
     raw_slope: float
     reliable: bool
+    mean_square_increments: tuple
 
 
 def holder_bound(kind: str, axis: str, hurst: float,
@@ -357,7 +358,8 @@ def holder_exponent_estimate(samples, axis: str, hurst: float,
     return HolderReport(axis=axis, estimated_exponent=exponent,
                         regression_lags=tuple(lags), r_squared=r2,
                         theoretical_bound=bound, raw_slope=slope,
-                        reliable=r2 >= 0.9)
+                        reliable=r2 >= 0.9,
+                        mean_square_increments=tuple(second))
 
 
 def continuity_probe_at_zero(seeds, hurst: float, y_grid, m: Mollifier,

@@ -15,13 +15,18 @@ All invocations run in-process through main(argv).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from siltlab.cli import main
+from siltlab.estimators import alpha_prime_eps, full_triangle
 from siltlab.expectation import mean_alpha_prime
+from siltlab.fbm import generate_path
 from siltlab.io import read_csv
+from siltlab.mollifier import Mollifier
+from siltlab.regularity import holder_exponent_estimate
 
 
 def _sha256(path) -> str:
@@ -295,6 +300,31 @@ class TestHolder:
         assert report["theoretical_bound"] == 0.5
         _, rows = read_csv(out / "holder_fit.csv")
         assert len(rows) == len(report["regression_lags"])
+
+    def test_derivative_time_axis_matches_per_t_loop(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["holder", "--kind", "alpha_hat_prime", "--axis", "time",
+                   "--H", "0.4", "--t", "1.0", "--n-steps", "256",
+                   "--replicates", "3", "--seed", "11", "--epsilon", "0.02",
+                   "--y", "0.1", "--grid-points", "65", "--output", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        m = Mollifier(0.02)
+        t_grid = np.linspace(1.0 / 65, 1.0, 65)
+        samples = np.array([
+            [alpha_prime_eps(generate_path(0.4, 1.0, 256, 11 + k), 0.1, m,
+                             full_triangle(tj)).value for tj in t_grid]
+            for k in range(3)])
+        want = holder_exponent_estimate(samples, "time", 0.4, kind="alpha_hat_prime")
+        report = json.loads((out / "holder.json").read_text())
+        assert report["estimated_exponent"] == want.estimated_exponent
+        # holder_fit.csv rows are the report's mean-square increments
+        spacing = t_grid[1] - t_grid[0]
+        _, rows = read_csv(out / "holder_fit.csv")
+        got = [(float(r["log10_lag"]), float(r["log10_mean_square_increment"]))
+               for r in rows]
+        assert got == [(math.log10(lag * spacing), math.log10(v))
+                       for lag, v in zip(want.regression_lags,
+                                         want.mean_square_increments)]
 
     def test_joint_axis_needs_alpha(self, tmp_path, capsys):
         rc = main(["holder", "--kind", "alpha_hat_prime", "--axis", "joint",

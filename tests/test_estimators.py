@@ -6,6 +6,7 @@ Tests cover:
   3. Kernel-weighted variant: exact coincidence at H = 1/2, warning above 2/3.
   4. Time profiles, local-time histograms, and the local-time route.
   5. Frozen regression values and the epsilon-ladder extrapolation.
+  6. Rejection of a non-finite offset y.
 """
 
 import math
@@ -28,6 +29,7 @@ from siltlab.estimators import (
     full_triangle,
     local_time,
     offset_triangle,
+    profile_index,
     region_union,
     renormalized_alpha_prime,
 )
@@ -148,6 +150,17 @@ class TestTildeVariant:
         b = alpha_tilde_prime_eps(p, 0.2, m).value
         assert a == b, f"H=1/2 weight is identically 1: {a} vs {b}"
 
+    @pytest.mark.parametrize("hurst", [0.3, 0.6])
+    def test_matches_weighted_brute_force(self, hurst: float) -> None:
+        p = generate_path(hurst, 1.0, 64, 7)
+        m = Mollifier(0.02)
+        d, v = p.delta, p.values
+        want = -sum(d * d * ((j - i) * d) ** (2.0 * hurst - 1.0)
+                    * float(f_eps_prime(v[j] - v[i] - 0.3, m))
+                    for i in range(64) for j in range(i + 1, 64))
+        got = alpha_tilde_prime_eps(p, 0.3, m).value
+        assert got == pytest.approx(want, rel=1e-13), f"{got} vs brute {want}"
+
     def test_warning_above_two_thirds(self) -> None:
         m = Mollifier(0.01)
         hot = alpha_tilde_prime_eps(generate_path(0.7, 1.0, 64, 0), 0.1, m)
@@ -179,6 +192,18 @@ class TestProfiles:
         assert prof[-1] == alpha_eps(p, 0.15, m).value
         assert np.all(np.diff(prof) >= 0.0), "alpha grows with the horizon"
 
+    @pytest.mark.parametrize("horizon, n", [(1.0, 64), (0.7, 60)])
+    def test_derivative_profile_is_bitwise_alpha_prime(self, horizon: float,
+                                                      n: int) -> None:
+        p = generate_path(0.4, horizon, n, 5)
+        m = Mollifier(0.02)
+        prof = alpha_time_profile(p, 0.15, m, derivative=True)
+        assert prof.shape == (n + 1,) and prof[0] == 0.0
+        for k in range(1, n + 1):
+            want = alpha_prime_eps(p, 0.15, m, full_triangle(p.times[k])).value
+            assert prof[k] == want, f"entry {k}: {prof[k]!r} vs {want!r}"
+        assert np.array_equal(profile_index(p, p.times), np.arange(n + 1))
+
     def test_local_time_total_mass(self) -> None:
         p = generate_path(0.5, 1.5, 256, 4)
         lt = local_time(p)
@@ -206,6 +231,24 @@ class TestProfiles:
         rel = abs(route - sym) / abs(sym)
         print(f"  local-time route vs symmetrized alpha: rel {rel:.2%}")
         assert rel < 0.05, f"symmetrized identity off by {rel:.2%}"
+
+
+class TestNonFiniteInput:
+    """A non-finite offset is rejected before any pair is evaluated."""
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator",
+                             [alpha_eps, alpha_prime_eps, alpha_tilde_prime_eps])
+    def test_estimators(self, estimator, y: float) -> None:
+        with pytest.raises(ValueError):
+            estimator(generate_path(0.5, 1.0, 16, 0), y, Mollifier(0.01))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    def test_time_profile(self, y: float, derivative: bool) -> None:
+        with pytest.raises(ValueError):
+            alpha_time_profile(generate_path(0.5, 1.0, 16, 0), y, Mollifier(0.01),
+                               derivative=derivative)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,11 @@ class TestGeneratePath:
         with pytest.raises(ValueError):
             generate_path(0.5, 1.0, 16, seed)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon: float) -> None:
+        with pytest.raises(ValueError):
+            generate_path(0.5, horizon, 4, 0)
+
     def test_bad_method(self) -> None:
         with pytest.raises(ValueError):
             generate_path(0.5, 1.0, 16, 0, method="magic")

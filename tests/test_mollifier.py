@@ -69,6 +69,11 @@ class TestKernel:
         with pytest.raises(ValueError):
             Mollifier(eps)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps: float) -> None:
+        with pytest.raises(ValueError):
+            Mollifier(eps)
+
 
 def _reference_safe_exp(arg):
     # the clamp-to-floor formula: exp(-745) is computed, then discarded

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from siltlab.estimators import _region_pair_sum, alpha_eps, dyadic_square, full_triangle
+from siltlab.estimators import alpha_eps, dyadic_square, full_triangle, pair_sum
 from siltlab.fbm import FbmPath, generate_path
 from siltlab.mollifier import Mollifier
 from siltlab.regularity import (
@@ -172,7 +172,7 @@ class TestUniformLookup:
         check = occupation_check_derivative if derivative else occupation_check_alpha
         _, rhs = check(path, g, grid, Mollifier(self.EPS))
         region = full_triangle(path.horizon)
-        ref = _region_pair_sum(path, region, lambda d: np.interp(d, xs, table))
+        ref = pair_sum(path, region, lambda d: np.interp(d, xs, table))
         assert abs(rhs - ref) <= 1e-12 * abs(ref), f"rhs {rhs!r} vs interp {ref!r}"
 
 
