@@ -504,7 +504,8 @@ _HOLDER_FIELDS = (
     Field("y", _float, default=0.0, help="offset (time axis) / grid center (space)"),
     Field("y-half-width", _float, default=1.0, check=_positive,
           help="space-axis grid half width"),
-    Field("grid-points", _int, default=33, check=_at_least(9),
+    # the structure-function fit needs 4 dyadic lags up to grid-points // 4
+    Field("grid-points", _int, default=65, check=_at_least(64),
           help="points per estimated axis"),
 )
 

@@ -11,7 +11,9 @@ One pair engine evaluates every kernel on pair differences in a defined
 order: rectangle by rectangle, rows in increasing j, i increasing within a
 row (np.sum), rows summed sequentially (np.cumsum).  A time profile is the
 scaled cumulative row sum, so its entries equal the estimates over growing
-triangles bit for bit.
+triangles bit for bit.  The kernel runs on cache-sized tiles of rows and
+each row is summed over exactly its own prefix, so the tile size cannot
+change a bit.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ __all__ = [
 # boundary are treated as on it, keeping half-open membership consistent
 # across touching rectangles when the boundary is not exactly representable.
 _FUZZ = 1e-9
+
+# Kernel evaluations per row tile of the pair engine: temporaries of this
+# many float64 stay in L2.
+_TILE_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,12 @@ def profile_index(path: FbmPath, times) -> np.ndarray:
 def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
     """Unscaled row sums of w(j - i) * func(B_j - B_i), one array per rectangle.
 
-    This is the only pair loop.  Rows come in increasing j, and row j sums
-    its admissible prefix i in [i0, min(i1, j - g_min + 1)) with np.sum.
-    ``weight``, if given, holds w(g) at index g - 1 for gaps g = 1..n_steps.
+    This is the only pair loop.  Row j sums its admissible prefix i in
+    [i0, min(i1, j - g_min + 1)) with np.sum.  The kernel runs on tiles of
+    consecutive rows, each as wide as the tile's longest prefix, and each
+    row is summed over exactly its own contiguous prefix: the kernels are
+    elementwise, so tile size cannot change a bit.  ``weight``, if given,
+    holds w(g) at index g - 1 for gaps g = 1..n_steps.
     """
     delta = path.delta
     n = path.n_steps
@@ -178,14 +187,21 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
         # half-open index ranges [i0, i1) x [j0, j1) of the grid times inside
         i0, i1, j0, j1 = np.clip(_grid_ceil(rect, delta), 0, n + 1).tolist()
         rows = np.zeros(max(0, j1 - j0))
-        for j in range(j0, j1):
-            hi = min(i1, j - g_min + 1)
-            if hi <= i0:
-                continue
-            terms = func(values[j] - values[i0:hi])
+        j = max(j0, i0 + g_min)  # first row with a nonempty prefix
+        while j < j1 and i0 < i1:
+            # a prefix grows by at most one per row, so r * (width + r) bounds
+            # the tile, discarded columns included
+            width = min(i1, j - g_min + 1) - i0
+            jb = min(j1, j + max(1, (math.isqrt(width * width + 4 * _TILE_PAIRS)
+                                     - width) // 2))
+            hi = min(i1, jb - g_min)
+            terms = func(values[j:jb, None] - values[None, i0:hi])
             if weight is not None:
-                terms = terms * weight[j - hi : j - i0][::-1]
-            rows[j - j0] = np.sum(terms)
+                gaps = np.arange(j - 1, jb - 1)[:, None] - np.arange(i0, hi)
+                terms = terms * weight.take(gaps, mode="clip")
+            for k in range(j, jb):
+                rows[k - j0] = np.add.reduce(terms[k - j, : min(hi, k - g_min + 1) - i0])
+            j = jb
         out.append(rows)
     return out
 

@@ -48,10 +48,15 @@ def f_eps(x, m: Mollifier):
 
 
 def f_eps_prime(x, m: Mollifier):
-    """Evaluate the derivative f_eps'(x) = -x (2 pi eps^3)^(-1/2) e^(-x^2/2eps)."""
+    """Evaluate the derivative f_eps'(x) = -x (2 pi eps^3)^(-1/2) e^(-x^2/2eps).
+
+    At x = +-inf this returns the limit 0.0 (the formula gives -inf * 0).
+    """
     x = np.asarray(x, dtype=float)
     eps = m.epsilon
-    out = -x * _safe_exp(-0.5 * x * x / eps) / np.sqrt(2.0 * np.pi * eps**3)
+    with np.errstate(invalid="ignore"):
+        out = -x * _safe_exp(-0.5 * x * x / eps) / np.sqrt(2.0 * np.pi * eps**3)
+    out = np.where(np.isinf(x), 0.0, out)
     if out.ndim == 0:
         return float(out)
     return out

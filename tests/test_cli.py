@@ -326,6 +326,22 @@ class TestHolder:
                        for lag, v in zip(want.regression_lags,
                                          want.mean_square_increments)]
 
+    def test_space_axis_runs_at_default_grid(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["holder", "--axis", "space", "--H", "0.5", "--n-steps", "128",
+                   "--replicates", "2", "--output", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert len(json.loads((out / "holder.json").read_text())
+                   ["regression_lags"]) >= 4
+
+    def test_too_few_grid_points_rejected(self, tmp_path, capsys):
+        rc = main(["holder", "--axis", "space", "--H", "0.5", "--n-steps", "128",
+                   "--replicates", "2", "--grid-points", "33",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert "grid-points" in _last_json(capsys.readouterr().err)["fields"]
+        assert not (tmp_path / "o").exists()
+
     def test_joint_axis_needs_alpha(self, tmp_path, capsys):
         rc = main(["holder", "--kind", "alpha_hat_prime", "--axis", "joint",
                    "--H", "0.5", "--output", str(tmp_path / "o")])

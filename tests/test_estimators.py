@@ -7,14 +7,21 @@ Tests cover:
   4. Time profiles, local-time histograms, and the local-time route.
   5. Frozen regression values and the epsilon-ladder extrapolation.
   6. Rejection of a non-finite offset y.
+  7. Tile invariance of the pair engine: every output is bitwise the
+     per-row loop's at any tile size, and region additivity is bitwise.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from siltlab import estimators
 from siltlab.estimators import (
+    _FUZZ,
+    _TILE_PAIRS,
     LocalTimeProfile,
     Region,
     SiltEstimate,
@@ -29,6 +36,7 @@ from siltlab.estimators import (
     full_triangle,
     local_time,
     offset_triangle,
+    pair_sum,
     profile_index,
     region_union,
     renormalized_alpha_prime,
@@ -311,3 +319,119 @@ class TestFrozenValues:
         assert (est.hurst, est.horizon, est.n_steps, est.seed) == (0.3, 2.0, 64, 17)
         assert (est.y, est.epsilon, est.region_id) == (0.25, 0.02, "D[2]")
         assert est.converged is None
+
+
+# ---------------------------------------------------------------------------
+# Tile invariance
+# ---------------------------------------------------------------------------
+
+TILE_SIZES = (1, 7, _TILE_PAIRS, 1 << 30)
+
+
+def _reference_row_sums(path, region, func, weight=None):
+    """The per-row loop: one kernel call and one np.sum per row."""
+    delta, n, v = path.delta, path.n_steps, path.values
+    g_min = max(1, math.floor(region.kappa / delta + _FUZZ) + 1)
+    out = []
+    for rect in region.rectangles:
+        idx = np.ceil(np.asarray(rect) / delta - _FUZZ).astype(np.intp)
+        i0, i1, j0, j1 = np.clip(idx, 0, n + 1).tolist()
+        rows = np.zeros(max(0, j1 - j0))
+        for j in range(j0, j1):
+            hi = min(i1, j - g_min + 1)
+            if hi <= i0:
+                continue
+            terms = func(v[j] - v[i0:hi])
+            if weight is not None:
+                terms = terms * weight[j - hi : j - i0][::-1]
+            rows[j - j0] = np.sum(terms)
+        out.append(rows)
+    return out
+
+
+def _reference_pair_sum(path, region, func, weight=None):
+    total = 0.0
+    for rows in _reference_row_sums(path, region, func, weight):
+        if rows.size:
+            total += path.delta * path.delta * float(np.cumsum(rows)[-1])
+    return total
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _at_tile_sizes(compute):
+    """compute() once per tile size, in the order of TILE_SIZES."""
+    results = []
+    for tile in TILE_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_TILE_PAIRS", tile)
+            results.append(compute())
+    return results
+
+
+_REGIONS = {
+    "triangle": lambda: full_triangle(1.0),
+    "offset": lambda: offset_triangle(0.9, 0.13),
+    "square": lambda: dyadic_square(3, 2),
+    "union": lambda: region_union(dyadic_square(2, 1), dyadic_square(2, 2),
+                                  dyadic_square(3, 1)),
+    # rows with s below the r-range have empty prefixes
+    "empty_rows": lambda: Region(((0.5, 0.75, 0.25, 1.0),), kappa=0.05),
+}
+
+_paths = st.builds(generate_path, st.floats(0.2, 0.8), st.just(1.0),
+                   st.integers(2, 160), st.integers(0, 2 ** 16))
+_mollifiers = st.sampled_from((1e-4, 0.01, 0.2)).map(Mollifier)
+_offsets = st.floats(-0.5, 0.5)
+
+
+class TestTileInvariance:
+    """The row-tiled engine gives the per-row loop's bits at any tile size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(path=_paths, m=_mollifiers, y=_offsets,
+           region=st.sampled_from(sorted(_REGIONS)),
+           derivative=st.booleans())
+    def test_pair_sum(self, path, m, y, region, derivative) -> None:
+        region = _REGIONS[region]()
+        func = estimators._kernel(y, m, derivative)
+        want = _reference_pair_sum(path, region, func)
+        for got in _at_tile_sizes(lambda: pair_sum(path, region, func)):
+            assert _bits(got) == _bits(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(path=_paths, m=_mollifiers, y=_offsets)
+    def test_weighted_tilde_estimator(self, path, m, y) -> None:
+        gaps = path.delta * np.arange(1, path.n_steps + 1)
+        weight = gaps ** (2.0 * path.hurst - 1.0)
+        want = _reference_pair_sum(path, full_triangle(1.0),
+                                   estimators._kernel(y, m, True), weight)
+        for got in _at_tile_sizes(lambda: alpha_tilde_prime_eps(path, y, m).value):
+            assert _bits(got) == _bits(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(path=_paths, m=_mollifiers, y=_offsets, derivative=st.booleans())
+    def test_time_profiles(self, path, m, y, derivative) -> None:
+        (rows,) = _reference_row_sums(path, full_triangle(1.0),
+                                      estimators._kernel(y, m, derivative))
+        want = np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
+        for got in _at_tile_sizes(
+                lambda: alpha_time_profile(path, y, m, derivative=derivative)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(path=_paths, m=_mollifiers, y=_offsets, level=st.integers(1, 4),
+           data=st.data())
+    def test_region_additivity_is_bitwise(self, path, m, y, level, data) -> None:
+        ks = data.draw(st.lists(st.integers(1, 2 ** (level - 1)), min_size=1,
+                                unique=True))
+        parts = [dyadic_square(level, k) for k in ks]
+        union = region_union(*parts)
+        for est in (alpha_eps, alpha_prime_eps):
+            for whole, pieces in _at_tile_sizes(lambda: (
+                    est(path, y, m, union).value,
+                    [est(path, y, m, r).value for r in parts])):
+                assert _bits(whole) == _bits(sum(pieces))
+

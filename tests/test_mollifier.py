@@ -5,10 +5,12 @@ Tests cover:
   2. Overflow safety far in the tails.
   3. The far-field clamp: bitwise agreement with the clamp-to-floor
      formula it replaced, and no subnormal exp on clamped arguments.
+     f_eps' returns its limit 0 at +-inf, where that formula gives nan.
   4. The Fourier-inversion cross-check (with and without truncation).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,7 +88,10 @@ def _reference_f_eps(x, eps):
 
 
 def _reference_f_eps_prime(x, eps):
-    return -x * _reference_safe_exp(-0.5 * x * x / eps) / np.sqrt(2.0 * np.pi * eps**3)
+    # the old formula, nan at +-inf (-inf * 0); its limit there is 0
+    with np.errstate(invalid="ignore"):
+        out = -x * _reference_safe_exp(-0.5 * x * x / eps) / np.sqrt(2.0 * np.pi * eps**3)
+    return np.where(np.isinf(x), 0.0, out)
 
 
 def _bits(values):
@@ -106,9 +111,8 @@ class TestFarFieldClamp:
     def _assert_bitwise(self, x, eps=EPS) -> None:
         m = Mollifier(eps)
         x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore"):
-            got = (f_eps(x, m), f_eps_prime(x, m))
-            want = (_reference_f_eps(x, eps), _reference_f_eps_prime(x, eps))
+        got = (f_eps(x, m), f_eps_prime(x, m))
+        want = (_reference_f_eps(x, eps), _reference_f_eps_prime(x, eps))
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w))
 
@@ -144,14 +148,34 @@ class TestFarFieldClamp:
     def test_non_finite_inputs(self) -> None:
         self._assert_bitwise(np.array([np.inf, -np.inf, np.nan, -np.nan]))
 
+    def test_derivative_limit_at_infinity(self) -> None:
+        m = Mollifier(self.EPS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f_eps_prime(np.array([np.inf, -np.inf, np.nan]), m)
+            assert f_eps_prime(np.inf, m) == 0.0 == f_eps_prime(-np.inf, m)
+        assert got[0] == 0.0 and got[1] == 0.0 and np.isnan(got[2])
+
+    def test_derivative_keeps_finite_bits(self) -> None:
+        # signed zeros, tiny, clamped and overflowing offsets keep the old bits
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 0.5, -0.5,
+                      1e10, -1e10, 1e200, -1e200, np.finfo(float).max])
+        with np.errstate(over="ignore"):
+            got = f_eps_prime(x, Mollifier(self.EPS))
+            want = -x * _reference_safe_exp(-0.5 * x * x / self.EPS) / np.sqrt(
+                2.0 * np.pi * self.EPS**3)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.signbit(got[[0, 2, 4, 8, 10, 12]]).all()
+        assert not np.signbit(got[[1, 3, 5, 9, 11]]).any()
+
     def test_zero_dimensional_inputs(self) -> None:
         m = Mollifier(self.EPS)
         for x in (0.0, 1e-3, 0.1, float(self._x_for(-740.0)), np.inf, np.nan):
             for scalar in (x, np.float64(x), np.array(x)):
-                with np.errstate(invalid="ignore"):
-                    got = (f_eps(scalar, m), f_eps_prime(scalar, m))
-                    want = (_reference_f_eps(np.float64(x), self.EPS),
-                            _reference_f_eps_prime(np.float64(x), self.EPS))
+                got = (f_eps(scalar, m), f_eps_prime(scalar, m))
+                want = (_reference_f_eps(np.float64(x), self.EPS),
+                        _reference_f_eps_prime(np.float64(x), self.EPS))
                 assert all(isinstance(v, float) for v in got)
                 for g, w in zip(got, want):
                     assert _bits(g) == _bits(w)
