@@ -242,33 +242,16 @@ def enumerate_m_assignments(c: PairConfiguration):
     """All per-gap multiplicity vectors from the endpoint expansion.
 
     Each endpoint sends one half-power to one of its two flanking gaps;
-    choices touching the boundary gaps 0 or 2n annihilate the whole term
-    and are dropped.  Deduplicated; no result has m_j = m_{j+1} = 2 (an
-    endpoint cannot feed both of its gaps).
+    choices touching the boundary gaps 0 or 2n annihilate the whole term,
+    so endpoints 1 and 2n feed gaps 1 and 2n - 1.  The other 2n - 2 choices
+    give 4^(n-1) distinct vectors (m_j fixes the choice at endpoint j + 1),
+    none with m_j = m_{j+1} = 2 (an endpoint cannot feed both of its gaps).
     """
-    n = c.n
-    positions = list(range(1, 2 * n + 1))
-    seen = set()
     out = []
-    for choice in itertools.product((0, 1), repeat=2 * n):
-        m = [0] * (2 * n + 1)  # gap indices 0..2n; ends dropped below
-        ok = True
-        for pos, side in zip(positions, choice):
-            gap = pos - 1 + side
-            if gap == 0 or gap == 2 * n:
-                ok = False
-                break
-            m[gap] += 1
-        if not ok:
-            continue
-        key = tuple(m[1 : 2 * n])
-        if key in seen:
-            continue
-        seen.add(key)
-        for j in range(len(key) - 1):
-            if key[j] == 2 and key[j + 1] == 2:
-                raise AssertionError("adjacent double multiplicities are impossible")
-        out.append(MAssignment(m=key))
+    for inner in itertools.product((0, 1), repeat=2 * c.n - 2):
+        choice = (1, *inner, 0)  # 1: endpoint p feeds gap p, 0: gap p - 1
+        m = tuple(a + 1 - b for a, b in zip(choice, choice[1:]))
+        out.append(MAssignment(m=m))
     return out
 
 

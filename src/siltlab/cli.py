@@ -60,7 +60,6 @@ from .mollifier import Mollifier
 from .regularity import (
     TestFunction,
     continuity_probe_at_zero,
-    holder_bound,
     holder_exponent_estimate,
     occupation_check_alpha,
     occupation_check_derivative,
@@ -166,9 +165,7 @@ def resolve_config(ns, fields) -> dict:
     if getattr(ns, "config", None):
         try:
             raw.update(io.load_config(ns.config))
-        except OSError as exc:
-            problems.append(("config", str(exc)))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             problems.append(("config", str(exc)))
     for item in getattr(ns, "set", None) or []:
         try:
@@ -275,8 +272,6 @@ def _parse_region(spec: str, horizon: float):
                 raise ValueError(f"region extends to {region.max_time:g} "
                                  f"but the horizon is {horizon:g}")
             return region
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError([("region", str(exc))]) from exc
     raise ConfigError([("region", f"unrecognized region spec {spec!r}")])
@@ -294,7 +289,7 @@ _ESTIMATORS = {
 
 _SIMULATE_FIELDS = (
     _F_H, _F_T, _F_NSTEPS, _F_SEED,
-    Field("method", _choice("auto", "circulant", "cholesky"), default="auto",
+    Field("method", _choice("circulant", "cholesky"), default="circulant",
           help="synthesis method"),
 )
 
@@ -515,6 +510,13 @@ def _holder_field(cfg):
     m = Mollifier(cfg["epsilon"])
     kind, axis = cfg["kind"], cfg["axis"]
     grid = cfg["grid-points"]
+    if axis == "joint" and kind != "alpha":
+        raise ConfigError([("axis", "joint estimation is implemented for "
+                            "kind=alpha only")])
+    # alpha's time axis and the joint axis sample the n + 1 profile points
+    if n < 63 and (axis == "joint" or (axis, kind) == ("time", "alpha")):
+        raise ConfigError([("n-steps", "must be at least 63: the fit needs "
+                            "64 profile points")])
     paths = [generate_path(h, t, n, cfg["seed"] + k)
              for k in range(cfg["replicates"])]
 
@@ -535,9 +537,6 @@ def _holder_field(cfg):
                             for p in paths])
         return samples, float(y_grid[1] - y_grid[0])
 
-    if kind != "alpha":
-        raise ConfigError([("axis", "joint estimation is implemented for "
-                            "kind=alpha only")])
     y_grid = np.linspace(cfg["y"] - cfg["y-half-width"],
                          cfg["y"] + cfg["y-half-width"], grid)
     step = max(1, n // grid)

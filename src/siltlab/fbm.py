@@ -1,7 +1,7 @@
 """Fractional Brownian motion synthesis and exact Gaussian functionals.
 
 Paths are generated by circulant embedding of the stationary increment
-covariance (FFT, exact in distribution) with a Cholesky fallback.  The
+covariance (FFT, exact in distribution) or, for small n, by Cholesky.  The
 module also evaluates covariances, characteristic functionals of weighted
 increment sums, and the local-nondeterminism ratio used by the test suite.
 """
@@ -25,16 +25,19 @@ __all__ = [
     "lnd_ratio",
 ]
 
-# Eigenvalues of the circulant embedding more negative than this fraction of
-# the largest one mean the embedding genuinely failed; anything smaller is
-# float noise and is clamped to zero.
+# Circulant eigenvalues below -PSD_TOLERANCE times the largest reject the
+# embedding; smaller negatives are rounding and are clamped to zero.  The
+# exact fGn embedding is nonnegative for every H (Dietrich & Newsam 1997;
+# Craigmile 2003): rejections come from cancellation of the k^2H terms in
+# _fgn_autocovariance (~7e10 at m = 2^18, ~7.5e-6 absolute error per lag),
+# and occur only at m >= 2^15 with H near 1, never at m <= 4096.
 PSD_TOLERANCE = 1e-10
 
 _MAX_SEED = 2**64
 
 
 class SynthesisError(RuntimeError):
-    """Raised when no exact synthesis route produces a valid factorization."""
+    """Raised when the requested synthesis route cannot factor the covariance."""
 
 
 def check_hurst(hurst: float) -> float:
@@ -139,15 +142,17 @@ def _fgn_autocovariance(lags: np.ndarray, hurst: float) -> np.ndarray:
 def _circulant_increments(hurst: float, n_steps: int, rng) -> np.ndarray:
     """Draw n_steps unit-step fGn samples by circulant embedding.
 
-    Returns None if the embedding has a significantly negative eigenvalue,
-    in which case the caller falls back to Cholesky.
+    Raises SynthesisError if the embedding has a significantly negative
+    eigenvalue.
     """
     m = 1 << max(0, (n_steps - 1).bit_length())
     gamma = _fgn_autocovariance(np.arange(m + 1), hurst)
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2m, symmetric
     eigs = np.fft.fft(row).real
     if eigs.min() < -PSD_TOLERANCE * eigs.max():
-        return None
+        raise SynthesisError(
+            "circulant embedding has negative eigenvalues beyond tolerance"
+        )
     eigs = np.clip(eigs, 0.0, None)
 
     # Hermitian spectrum: real weights at frequencies 0 and m, complex in
@@ -164,15 +169,15 @@ def _circulant_increments(hurst: float, n_steps: int, rng) -> np.ndarray:
 def _cholesky_increments(hurst: float, n_steps: int, rng) -> np.ndarray:
     if n_steps > 4096:
         raise SynthesisError(
-            "Cholesky fallback is quadratic in memory; refusing n_steps > 4096"
+            "Cholesky synthesis is quadratic in memory; refusing n_steps > 4096"
         )
     cov = increment_covariance_matrix(np.arange(n_steps + 1, dtype=float), hurst)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(
-            "circulant embedding rejected and Cholesky factorization of the "
-            "increment covariance failed (numerically non-PSD)"
+            "Cholesky factorization of the increment covariance failed "
+            "(numerically non-PSD)"
         ) from exc
     return chol @ rng.standard_normal(n_steps)
 
@@ -182,7 +187,7 @@ def generate_path(
     horizon: float,
     n_steps: int,
     seed: int,
-    method: str = "auto",
+    method: str = "circulant",
 ) -> FbmPath:
     """Generate an exact-in-distribution fBm sample path.
 
@@ -192,13 +197,13 @@ def generate_path(
     horizon : positive, finite final time.
     n_steps : number of uniform grid steps (path has n_steps + 1 samples).
     seed : integer in [0, 2^64); identical seeds reproduce identical paths.
-    method : "auto" (circulant embedding, Cholesky on rejection),
-        "circulant", or "cholesky".
+    method : "circulant" (FFT circulant embedding) or "cholesky" (dense
+        factorization, n_steps <= 4096; an independent reference route).
 
     Raises
     ------
     SynthesisError
-        If the requested or fallback factorization fails.
+        If the requested factorization fails.
     """
     h = check_hurst(hurst)
     if not 0.0 < horizon < np.inf:
@@ -213,17 +218,8 @@ def generate_path(
     # sweep can assign seed = base + k up front.
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    if method == "auto":
+    if method == "circulant":
         unit = _circulant_increments(h, n_steps, rng)
-        if unit is None:
-            unit = _cholesky_increments(h, n_steps, rng)
-    elif method == "circulant":
-        unit = _circulant_increments(h, n_steps, rng)
-        if unit is None:
-            raise SynthesisError(
-                "circulant embedding has negative eigenvalues beyond tolerance "
-                "(no fallback attempted with method='circulant')"
-            )
     elif method == "cholesky":
         unit = _cholesky_increments(h, n_steps, rng)
     else:

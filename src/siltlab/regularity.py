@@ -192,14 +192,20 @@ def _uniform_lookup(xs, table):
     return lookup
 
 
-def _prepare(path, g, y_grid, m, region):
+def _occupation_check(path, g, y_grid, m, region, derivative):
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.ndim != 1 or y_grid.size < 2 or np.any(np.diff(y_grid) <= 0.0):
         raise ValueError("y_grid must be a strictly increasing 1-D grid")
     if region is None:
         region = full_triangle(path.horizon)
     _check_leakage(path, y_grid, m)
-    return y_grid, region
+    lhs = pair_sum(path, region, g.derivative if derivative else g.value)
+    gw = g.value(y_grid) * _trapezoid_weights(y_grid)
+    xs, table = _convolution_table(path, y_grid, m, gw, derivative)
+    # For the derivative, rhs = -sum_k w_k g_k alpha'(y_k); alpha' carries
+    # its own minus sign, so the pair-first reordering leaves a plus here.
+    rhs = pair_sum(path, region, _uniform_lookup(xs, table))
+    return lhs, rhs
 
 
 def occupation_check_alpha(path: FbmPath, g: TestFunction, y_grid, m: Mollifier,
@@ -209,12 +215,7 @@ def occupation_check_alpha(path: FbmPath, g: TestFunction, y_grid, m: Mollifier,
     lhs: Riemann sum of g(B_s - B_r).  rhs: quadrature of g(y) against the
     mollified alpha profile on y_grid.  Returns (lhs, rhs).
     """
-    y_grid, region = _prepare(path, g, y_grid, m, region)
-    lhs = pair_sum(path, region, lambda d: g.value(d))
-    gw = g.value(y_grid) * _trapezoid_weights(y_grid)
-    xs, table = _convolution_table(path, y_grid, m, gw, derivative=False)
-    rhs = pair_sum(path, region, _uniform_lookup(xs, table))
-    return lhs, rhs
+    return _occupation_check(path, g, y_grid, m, region, derivative=False)
 
 
 def occupation_check_derivative(path: FbmPath, g: TestFunction, y_grid,
@@ -224,14 +225,7 @@ def occupation_check_derivative(path: FbmPath, g: TestFunction, y_grid,
     lhs: Riemann sum of g'(B_s - B_r).  rhs: minus the quadrature of g(y)
     against the mollified derivative profile.  Returns (lhs, rhs).
     """
-    y_grid, region = _prepare(path, g, y_grid, m, region)
-    lhs = pair_sum(path, region, lambda d: g.derivative(d))
-    gw = g.value(y_grid) * _trapezoid_weights(y_grid)
-    xs, table = _convolution_table(path, y_grid, m, gw, derivative=True)
-    # rhs = -sum_k w_k g_k alpha'(y_k); alpha' carries its own minus sign,
-    # so the pair-first reordering leaves a plus here.
-    rhs = pair_sum(path, region, _uniform_lookup(xs, table))
-    return lhs, rhs
+    return _occupation_check(path, g, y_grid, m, region, derivative=True)
 
 
 def derivative_consistency(path: FbmPath, y_grid, m: Mollifier,

@@ -13,6 +13,7 @@ Tests cover:
   8. Convergence-exponent thresholds for every variation mode.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,31 @@ class TestMAssignments:
                 assert all(0 <= mj <= 2 for mj in a.m)
                 assert not any(a.m[j] == 2 and a.m[j + 1] == 2
                                for j in range(2 * n - 2))
+
+    @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 199)])
+    def test_matches_product_dedupe_reference(self, n: int, stride: int) -> None:
+        for c in enumerate_configurations(n)[::stride]:
+            got = [a.m for a in enumerate_m_assignments(c)]
+            assert got == _reference_m_assignments(c), c.to_string()
+            assert len(got) == 4 ** (n - 1)
+            assert not any(m[j] == 2 and m[j + 1] == 2
+                           for m in got for j in range(2 * n - 2))
+
+
+def _reference_m_assignments(c: PairConfiguration) -> list:
+    """Every endpoint-to-gap choice, boundary gaps dropped, deduplicated in
+    first-seen order: the literal reading of the endpoint expansion."""
+    n = c.n
+    seen, out = set(), []
+    for choice in itertools.product((0, 1), repeat=2 * n):
+        m = [0] * (2 * n + 1)
+        for pos, side in enumerate(choice, start=1):
+            m[pos - 1 + side] += 1
+        key = tuple(m[1 : 2 * n])
+        if m[0] == 0 and m[2 * n] == 0 and key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,31 @@ class TestHolder:
         assert rc == 2
         assert "axis" in _last_json(capsys.readouterr().err)["fields"]
 
+    @pytest.mark.parametrize("kind, axis, field", [
+        ("alpha", "time", "n-steps"),
+        ("alpha", "joint", "n-steps"),
+        ("alpha_hat_prime", "joint", "axis"),
+    ])
+    @pytest.mark.parametrize("n_steps", ["32", "62"])
+    def test_short_profile_rejected_before_synthesis(self, tmp_path, capsys,
+                                                     monkeypatch, kind, axis,
+                                                     field, n_steps):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a path was generated")
+
+        monkeypatch.setattr("siltlab.cli.generate_path", no_paths)
+        rc = main(["holder", "--kind", kind, "--axis", axis, "--H", "0.5",
+                   "--n-steps", n_steps, "--replicates", "2",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert list(_last_json(capsys.readouterr().err)["fields"]) == [field]
+
+    @pytest.mark.parametrize("axis", ["time", "joint"])
+    def test_shortest_profile_runs(self, tmp_path, capsys, axis):
+        rc = main(["holder", "--axis", axis, "--H", "0.5", "--n-steps", "63",
+                   "--replicates", "2", "--output", str(tmp_path / "o")])
+        assert rc == 0, capsys.readouterr().err
+
 
 class TestProbeZero:
     """Ensemble probe across the origin."""

@@ -3,7 +3,8 @@
 Tests cover:
   1. Covariance function: closed form, Brownian special case, matrices.
   2. Path generation: determinism, seed separation, scaling, batch statistics.
-  3. Method selection and the Cholesky fallback's size refusal.
+  3. Method selection, the Cholesky route's size refusal, and circulant
+     embedding succeeding at extreme H.
   4. Configuration times, the characteristic functional, and the local
      nondeterminism ratio (exactly 1 at H = 1/2).
 """
@@ -72,7 +73,7 @@ class TestCovariance:
 # ---------------------------------------------------------------------------
 
 class TestGeneratePath:
-    """Exact synthesis via circulant embedding with a Cholesky fallback."""
+    """Exact synthesis via circulant embedding, or Cholesky for small n."""
 
     def test_deterministic_per_seed(self) -> None:
         a = generate_path(0.3, 1.0, 256, 7)
@@ -147,8 +148,18 @@ class TestGeneratePath:
             generate_path(0.5, horizon, 4, 0)
 
     def test_bad_method(self) -> None:
-        with pytest.raises(ValueError):
-            generate_path(0.5, 1.0, 16, 0, method="magic")
+        for method in ("magic", "auto"):
+            with pytest.raises(ValueError):
+                generate_path(0.5, 1.0, 16, 0, method=method)
+
+    @pytest.mark.parametrize("h", [1e-6, 0.1, 0.5, 0.9, 0.999, 0.9999])
+    @pytest.mark.parametrize("n", [1, 3, 1000, 4096])
+    def test_circulant_accepts_every_cholesky_size(self, h: float, n: int) -> None:
+        # The embedding is rejected only for m >= 2^15 (rounding in the
+        # autocovariance near H = 1), so no Cholesky-sized path needs a
+        # second route.
+        p = generate_path(h, 1.0, n, 0)
+        assert p.values.shape == (n + 1,) and np.all(np.isfinite(p.values))
 
     def test_path_record_fields(self) -> None:
         p = generate_path(0.45, 1.5, 64, 9)
