@@ -1,7 +1,8 @@
 """Evaluate the self-intersection estimators over a mollifier ladder.
 
 Runs alpha and its derivative on one path for a decreasing sequence of
-mollifier widths, then Richardson-extrapolates to the sharp limit.
+mollifier widths, then extrapolates to the sharp limit with Aitken's
+delta-squared step.
 """
 
 from siltlab import Mollifier, alpha_eps, alpha_prime_eps, epsilon_extrapolate, generate_path

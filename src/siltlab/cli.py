@@ -517,43 +517,32 @@ def _holder_field(cfg):
     if n < 63 and (axis == "joint" or (axis, kind) == ("time", "alpha")):
         raise ConfigError([("n-steps", "must be at least 63: the fit needs "
                             "64 profile points")])
-    paths = [generate_path(h, t, n, cfg["seed"] + k)
-             for k in range(cfg["replicates"])]
-
-    if axis == "time":
-        samples = np.stack([alpha_time_profile(p, cfg["y"], m, kind != "alpha")
-                            for p in paths])
-        if kind == "alpha":
-            return samples, t / n
-        t_grid = np.linspace(t / grid, t, grid)
-        return (samples[:, profile_index(paths[0], t_grid)],
-                float(t_grid[1] - t_grid[0]))
-
-    if axis == "space":
-        y_grid = np.linspace(cfg["y"] - cfg["y-half-width"],
-                             cfg["y"] + cfg["y-half-width"], grid)
-        est = alpha_eps if kind == "alpha" else alpha_prime_eps
-        samples = np.stack([[est(p, float(yy), m).value for yy in y_grid]
-                            for p in paths])
-        return samples, float(y_grid[1] - y_grid[0])
-
     y_grid = np.linspace(cfg["y"] - cfg["y-half-width"],
                          cfg["y"] + cfg["y-half-width"], grid)
-    step = max(1, n // grid)
-    samples = np.stack([
-        np.stack([alpha_time_profile(p, float(yy), m)[::step] for yy in y_grid])
-        for p in paths])
-    return samples, 1.0
+    t_grid = np.linspace(t / grid, t, grid)
+    ys = cfg["y"] if axis == "time" else y_grid
+
+    def sample(p):
+        """One profile per path, sliced to the sampled axis before stacking."""
+        profile = alpha_time_profile(p, ys, m, kind != "alpha")
+        if axis == "space":
+            return profile[:, -1]
+        if axis == "joint":
+            return profile[:, ::max(1, n // grid)]
+        return profile if kind == "alpha" else profile[profile_index(p, t_grid)]
+
+    spacing = {"space": y_grid[1] - y_grid[0], "joint": 1.0,
+               "time": t / n if kind == "alpha" else t_grid[1] - t_grid[0]}[axis]
+    return np.stack([sample(generate_path(h, t, n, cfg["seed"] + k))
+                     for k in range(cfg["replicates"])]), float(spacing)
 
 
 def _compute_holder(cfg, outdir):
     samples, spacing = _holder_field(cfg)
-    bound_kind = "alpha" if cfg["kind"] == "alpha" else "alpha_hat_prime"
-    report = holder_exponent_estimate(samples, cfg["axis"], cfg["H"],
-                                      kind=bound_kind)
+    report = holder_exponent_estimate(samples, cfg["axis"], cfg["H"], kind=cfg["kind"])
     fit_rows = [(math.log10(lag * spacing), math.log10(v))
                 for lag, v in zip(report.regression_lags,
-                                  report.mean_square_increments) if v > 0.0]
+                                  report.mean_square_increments)]
     out_fit = io.write_csv(outdir / "holder_fit.csv", "holder-fit",
                            ("log10_lag", "log10_mean_square_increment"),
                            fit_rows)

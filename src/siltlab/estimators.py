@@ -13,7 +13,9 @@ row (np.sum), rows summed sequentially (np.cumsum).  A time profile is the
 scaled cumulative row sum, so its entries equal the estimates over growing
 triangles bit for bit.  The kernel runs on cache-sized tiles of rows and
 each row is summed over exactly its own prefix, so the tile size cannot
-change a bit.
+change a bit.  The offset y may be a 1-D grid: it becomes a leading axis
+of every tile, and each y's row sums, region sums and profile equal the
+scalar call at that y bit for bit.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
     consecutive rows, each as wide as the tile's longest prefix, and each
     row is summed over exactly its own contiguous prefix: the kernels are
     elementwise, so tile size cannot change a bit.  ``weight``, if given,
-    holds w(g) at index g - 1 for gaps g = 1..n_steps.
+    holds w(g) at index g - 1 for gaps g = 1..n_steps.  Each array starts
+    with a zero (no rows yet) and has the kernel's leading axes, if any.
     """
     delta = path.delta
     n = path.n_steps
@@ -180,19 +183,21 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
             f"region {region.label!r} extends beyond the path horizon {path.horizon:g}"
         )
     values = path.values
+    lead = np.shape(func(np.zeros((1, 1))))[:-2]  # the kernel's extra axes
+    budget = _TILE_PAIRS // max(1, math.prod(lead))  # pairs per tile and y
     # strict clip s - r > kappa on cell centers: smallest admissible gap index
     g_min = max(1, math.floor(region.kappa / delta + _FUZZ) + 1)
     out = []
     for rect in region.rectangles:
         # half-open index ranges [i0, i1) x [j0, j1) of the grid times inside
         i0, i1, j0, j1 = np.clip(_grid_ceil(rect, delta), 0, n + 1).tolist()
-        rows = np.zeros(max(0, j1 - j0))
+        rows = np.zeros(lead + (max(0, j1 - j0) + 1,))
         j = max(j0, i0 + g_min)  # first row with a nonempty prefix
         while j < j1 and i0 < i1:
             # a prefix grows by at most one per row, so r * (width + r) bounds
             # the tile, discarded columns included
             width = min(i1, j - g_min + 1) - i0
-            jb = min(j1, j + max(1, (math.isqrt(width * width + 4 * _TILE_PAIRS)
+            jb = min(j1, j + max(1, (math.isqrt(width * width + 4 * budget)
                                      - width) // 2))
             hi = min(i1, jb - g_min)
             terms = func(values[j:jb, None] - values[None, i0:hi])
@@ -200,30 +205,34 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
                 gaps = np.arange(j - 1, jb - 1)[:, None] - np.arange(i0, hi)
                 terms = terms * weight.take(gaps, mode="clip")
             for k in range(j, jb):
-                rows[k - j0] = np.add.reduce(terms[k - j, : min(hi, k - g_min + 1) - i0])
+                rows[..., k - j0 + 1] = np.add.reduce(
+                    terms[..., k - j, : min(hi, k - g_min + 1) - i0], axis=-1)
             j = jb
         out.append(rows)
     return out
 
 
-def pair_sum(path: FbmPath, region: Region, func, weight=None) -> float:
+def pair_sum(path: FbmPath, region: Region, func, weight=None):
     """Sum delta^2 * w(j - i) * func(B_j - B_i) over the region's grid pairs.
 
     Each rectangle's rows are summed sequentially and scaled on their own,
     so estimates over disjoint unions add up bitwise and equal the
-    matching entry of a time profile.
+    matching entry of a time profile.  Returns a float, or one value per
+    y for a kernel over a y-grid, each equal to the scalar call's bits.
+    Raises FloatingPointError if a sum is not finite.
     """
-    total = 0.0
-    for rows in _row_sums(path, region, func, weight):
-        if rows.size:
-            total += path.delta * path.delta * float(np.cumsum(rows)[-1])
-    return total
+    total = sum(path.delta * path.delta * np.cumsum(rows, axis=-1)[..., -1]
+                for rows in _row_sums(path, region, func, weight))
+    if not np.all(np.isfinite(total)):
+        raise FloatingPointError(f"pair sum over {region.label!r} is not finite")
+    return total if np.ndim(total) else float(total)
 
 
-def _kernel(y: float, m: Mollifier, derivative: bool):
-    """Pair kernel f_eps(d - y), or -f_eps'(d - y) for the derivative."""
-    if not math.isfinite(y):
+def _kernel(y, m: Mollifier, derivative: bool):
+    """Pair kernel f_eps(d - y), or -f_eps'(d - y); a 1-D y is a leading axis."""
+    if not np.all(np.isfinite(y)):
         raise ValueError(f"y must be finite, got {y!r}")
+    y = np.asarray(y, dtype=float)[..., None, None]
     if derivative:
         return lambda d: -f_eps_prime(d - y, m)
     return lambda d: f_eps(d - y, m)
@@ -265,16 +274,22 @@ def alpha_tilde_prime_eps(path: FbmPath, y: float, m: Mollifier) -> SiltEstimate
                      weight=gaps ** (2.0 * path.hurst - 1.0), warning=warning)
 
 
-def alpha_time_profile(path: FbmPath, y: float, m: Mollifier,
+def alpha_time_profile(path: FbmPath, y, m: Mollifier,
                        derivative: bool = False) -> np.ndarray:
     """alpha_eps (or alpha_prime_eps) over the growing triangles D_t.
 
     Returns an array of length n_steps + 1 whose k-th entry equals, bit for
     bit, the estimator over full_triangle(t_k): the cumulative row sums of
-    the pair engine.  profile_index maps a time t to its entry.
+    the pair engine.  profile_index maps a time t to its entry.  A 1-D y
+    gives shape (len(y), n_steps + 1), each row equal to the scalar call's
+    profile at that y bit for bit.  Raises FloatingPointError if an entry
+    is not finite.
     """
     (rows,) = _row_sums(path, full_triangle(path.horizon), _kernel(y, m, derivative))
-    return np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
+    profile = path.delta * path.delta * np.cumsum(rows, axis=-1)
+    if not np.all(np.isfinite(profile)):
+        raise FloatingPointError("time profile is not finite")
+    return profile
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from siltlab.cli import main
-from siltlab.estimators import alpha_prime_eps, full_triangle
+from siltlab.estimators import (
+    alpha_eps,
+    alpha_prime_eps,
+    alpha_time_profile,
+    full_triangle,
+)
 from siltlab.expectation import mean_alpha_prime
 from siltlab.fbm import generate_path
 from siltlab.io import read_csv
@@ -372,6 +377,57 @@ class TestHolder:
         rc = main(["holder", "--axis", axis, "--H", "0.5", "--n-steps", "63",
                    "--replicates", "2", "--output", str(tmp_path / "o")])
         assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, axis", [("alpha", "space"),
+                                            ("alpha_hat_prime", "space"),
+                                            ("alpha", "joint")])
+    def test_y_axes_equal_per_y_loop(self, tmp_path, capsys, monkeypatch,
+                                     kind, axis):
+        seen = []
+
+        def record(samples, *args, **kwargs):
+            seen.append(samples)
+            return holder_exponent_estimate(samples, *args, **kwargs)
+
+        monkeypatch.setattr("siltlab.cli.holder_exponent_estimate", record)
+        rc = main(["holder", "--kind", kind, "--axis", axis, "--H", "0.4",
+                   "--n-steps", "200", "--replicates", "2", "--seed", "5",
+                   "--epsilon", "0.02", "--y", "0.1", "--y-half-width", "0.5",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 0, capsys.readouterr().err
+        m = Mollifier(0.02)
+        y_grid = np.linspace(-0.4, 0.6, 65)
+        paths = [generate_path(0.4, 1.0, 200, 5 + k) for k in range(2)]
+        if axis == "space":
+            est = alpha_eps if kind == "alpha" else alpha_prime_eps
+            want = [[est(p, float(y), m).value for y in y_grid] for p in paths]
+        else:
+            # every 200 // 65 = 3rd profile point
+            want = [[alpha_time_profile(p, float(y), m)[::3] for y in y_grid]
+                    for p in paths]
+        (got,) = seen
+        assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+
+
+class TestNonFiniteResults:
+    """A result that is not finite exits 3 with a numerical-failure record."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--kind", "alpha", "--H", "0.5", "--t", "1e300",
+         "--n-steps", "64"],
+        ["estimate", "--H", "0.5", "--epsilon", "1e-320", "--n-steps", "64"],
+        ["holder", "--H", "0.3", "--axis", "space", "--epsilon", "1e-320",
+         "--n-steps", "64", "--replicates", "2"],
+    ], ids=["huge-horizon", "subnormal-epsilon", "holder-subnormal-epsilon"])
+    def test_exit_3(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert "nan" not in out
+        record = _last_json(err)
+        assert record["error"] == "numerical-failure"
+        assert record["type"] == "FloatingPointError"
 
 
 class TestProbeZero:

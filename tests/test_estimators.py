@@ -9,6 +9,9 @@ Tests cover:
   6. Rejection of a non-finite offset y.
   7. Tile invariance of the pair engine: every output is bitwise the
      per-row loop's at any tile size, and region additivity is bitwise.
+     A y-grid gives, per y, the bits of the scalar call at that y.
+  8. A non-finite result raises FloatingPointError; alpha's profile is
+     nondecreasing in t at every y of a grid.
 """
 
 import math
@@ -252,11 +255,37 @@ class TestNonFiniteInput:
             estimator(generate_path(0.5, 1.0, 16, 0), y, Mollifier(0.01))
 
     @pytest.mark.parametrize("derivative", [False, True])
-    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    # the last case is a y-grid with one bad entry
+    @pytest.mark.parametrize("y", [math.nan, math.inf, [0.0, math.nan]])
     def test_time_profile(self, y: float, derivative: bool) -> None:
         with pytest.raises(ValueError):
             alpha_time_profile(generate_path(0.5, 1.0, 16, 0), y, Mollifier(0.01),
                                derivative=derivative)
+
+
+class TestNonFiniteResult:
+    """A sum that overflows or turns nan raises instead of returning it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_horizon(self) -> None:
+        # delta^2 overflows, and inf * 0 from the far-field pairs is nan
+        path = generate_path(0.5, 1e300, 16, 0)
+        with pytest.raises(FloatingPointError):
+            alpha_eps(path, 0.0, Mollifier(0.01))
+        with pytest.raises(FloatingPointError):
+            alpha_time_profile(path, [0.0, 1.0], Mollifier(0.01))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_epsilon(self) -> None:
+        # f_eps' divides by eps^3, which underflows to 0
+        path = generate_path(0.5, 1.0, 16, 0)
+        m = Mollifier(1e-320)
+        with pytest.raises(FloatingPointError):
+            alpha_prime_eps(path, 0.0, m)
+        with pytest.raises(FloatingPointError):
+            alpha_time_profile(path, 0.0, m, derivative=True)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -385,40 +414,61 @@ _paths = st.builds(generate_path, st.floats(0.2, 0.8), st.just(1.0),
                    st.integers(2, 160), st.integers(0, 2 ** 16))
 _mollifiers = st.sampled_from((1e-4, 0.01, 0.2)).map(Mollifier)
 _offsets = st.floats(-0.5, 0.5)
+_y_grids = st.lists(_offsets, min_size=1, max_size=5).map(np.array)
 
 
 class TestTileInvariance:
     """The row-tiled engine gives the per-row loop's bits at any tile size."""
 
     @settings(max_examples=40, deadline=None)
-    @given(path=_paths, m=_mollifiers, y=_offsets,
+    @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids,
            region=st.sampled_from(sorted(_REGIONS)),
            derivative=st.booleans())
-    def test_pair_sum(self, path, m, y, region, derivative) -> None:
+    def test_pair_sum(self, path, m, y, ys, region, derivative) -> None:
         region = _REGIONS[region]()
         func = estimators._kernel(y, m, derivative)
         want = _reference_pair_sum(path, region, func)
         for got in _at_tile_sizes(lambda: pair_sum(path, region, func)):
             assert _bits(got) == _bits(want)
+        # a y-grid gives one sum per y, each the scalar call's bits
+        want = [_reference_pair_sum(path, region, estimators._kernel(v, m, derivative))
+                for v in ys]
+        batched = estimators._kernel(ys, m, derivative)
+        for got in _at_tile_sizes(lambda: pair_sum(path, region, batched)):
+            assert got.shape == ys.shape
+            assert np.array_equal(_bits(got), _bits(want))
 
     @settings(max_examples=25, deadline=None)
-    @given(path=_paths, m=_mollifiers, y=_offsets)
-    def test_weighted_tilde_estimator(self, path, m, y) -> None:
+    @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids)
+    def test_weighted_tilde_estimator(self, path, m, y, ys) -> None:
         gaps = path.delta * np.arange(1, path.n_steps + 1)
         weight = gaps ** (2.0 * path.hurst - 1.0)
         want = _reference_pair_sum(path, full_triangle(1.0),
                                    estimators._kernel(y, m, True), weight)
         for got in _at_tile_sizes(lambda: alpha_tilde_prime_eps(path, y, m).value):
             assert _bits(got) == _bits(want)
+        want = [alpha_tilde_prime_eps(path, v, m).value for v in ys]
+        batched = estimators._kernel(ys, m, True)
+        for got in _at_tile_sizes(
+                lambda: pair_sum(path, full_triangle(1.0), batched, weight)):
+            assert np.array_equal(_bits(got), _bits(want))
 
     @settings(max_examples=25, deadline=None)
-    @given(path=_paths, m=_mollifiers, y=_offsets, derivative=st.booleans())
-    def test_time_profiles(self, path, m, y, derivative) -> None:
+    @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids,
+           derivative=st.booleans())
+    def test_time_profiles(self, path, m, y, ys, derivative) -> None:
         (rows,) = _reference_row_sums(path, full_triangle(1.0),
                                       estimators._kernel(y, m, derivative))
         want = np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
         for got in _at_tile_sizes(
                 lambda: alpha_time_profile(path, y, m, derivative=derivative)):
+            assert np.array_equal(_bits(got), _bits(want))
+        # a y-grid gives one profile row per y, each the scalar call's bits
+        want = np.stack([alpha_time_profile(path, v, m, derivative=derivative)
+                         for v in ys])
+        for got in _at_tile_sizes(
+                lambda: alpha_time_profile(path, ys, m, derivative=derivative)):
+            assert got.shape == (ys.size, path.n_steps + 1)
             assert np.array_equal(_bits(got), _bits(want))
 
     @settings(max_examples=25, deadline=None)
@@ -435,3 +485,21 @@ class TestTileInvariance:
                     [est(path, y, m, r).value for r in parts])):
                 assert _bits(whole) == _bits(sum(pieces))
 
+
+class TestProfileProperties:
+    """Properties of the batched profile that hold on every path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(path=_paths, m=_mollifiers,
+           ys=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6).map(np.array))
+    def test_alpha_nondecreasing_in_t_at_every_y(self, path, m, ys) -> None:
+        # each row adds nonnegative kernel values
+        profile = alpha_time_profile(path, ys, m)
+        assert np.all(np.diff(profile, axis=-1) >= 0.0)
+
+    def test_empty_y_grid(self) -> None:
+        path = generate_path(0.5, 1.0, 16, 0)
+        m = Mollifier(0.01)
+        assert alpha_time_profile(path, [], m).shape == (0, 17)
+        assert pair_sum(path, full_triangle(1.0),
+                        estimators._kernel([], m, True)).shape == (0,)

@@ -5,12 +5,16 @@ Tests cover:
   2. Sharp (epsilon = 0) expectation: frozen values, continuity in epsilon.
   3. Small-offset regimes: classification, constants, tail integral,
      subcritical slope, critical log factor, supercritical jump.
+  4. Both means are odd in y bit for bit: the integrand depends on y^2
+     only and the prefactor on -y.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siltlab.expectation import (
     AsymptoticRegime,
@@ -199,3 +203,29 @@ class TestRegimes:
         reg = asymptotic_constant(1.0, 0.2)
         assert isinstance(reg, AsymptoticRegime)
         assert (reg.t, reg.hurst) == (1.0, 0.2)
+
+
+def _assert_odd(mean, y) -> None:
+    """mean(-y) is -mean(y) bit for bit, or both raise QuadratureError."""
+    try:
+        a = mean(y).value
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            mean(-y)
+        return
+    assert np.float64(mean(-y).value).view(np.int64) == np.float64(-a).view(np.int64)
+
+
+class TestOddInY:
+    """f(-y) == -f(y) bit for bit, for both means."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(y=st.floats(1e-6, 3.0), eps=st.floats(1e-4, 0.1), h=st.floats(0.1, 0.9))
+    @example(y=0.125, eps=0.0078125, h=0.109375)  # the quadrature fails on both sides
+    def test_mollified_mean(self, y, eps, h) -> None:
+        _assert_odd(lambda v: mean_alpha_prime_eps(1.0, v, eps, h), y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(y=st.floats(1e-6, 3.0), h=st.floats(0.1, 0.9))
+    def test_sharp_mean(self, y, h) -> None:
+        _assert_odd(lambda v: mean_alpha_prime(1.0, v, h), y)

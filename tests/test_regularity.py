@@ -9,6 +9,8 @@ Tests cover:
   4. Structure-function regression on fields of known regularity, and the
      Holder-order threshold table.
   5. The ensemble probe across y = 0.
+  6. Batched y-grids: the probe rows and the central-difference check
+     equal per-y loops over the scalar estimators bit for bit.
 """
 
 import math
@@ -16,7 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from siltlab.estimators import alpha_eps, dyadic_square, full_triangle, pair_sum
+from siltlab.estimators import (
+    alpha_eps,
+    alpha_prime_eps,
+    dyadic_square,
+    full_triangle,
+    pair_sum,
+)
 from siltlab.fbm import FbmPath, generate_path
 from siltlab.mollifier import Mollifier
 from siltlab.regularity import (
@@ -221,6 +229,19 @@ class TestDerivativeConsistency:
         print(f"  observed order {order:.2f}")
         assert 1.8 <= order <= 2.2, f"expected O(h^2), observed order {order:.2f}"
 
+    @pytest.mark.parametrize("region", [None, dyadic_square(2, 2)])
+    def test_equals_per_y_loop(self, region) -> None:
+        path = generate_path(0.45, 1.0, 256, 4)
+        m = Mollifier(0.02)
+        grid = np.linspace(-0.6, 0.6, 13)
+        a = [alpha_eps(path, y, m, region).value for y in grid]
+        worst = 0.0
+        for i in range(1, grid.size - 1):
+            fd = (a[i + 1] - a[i - 1]) / (2.0 * (grid[1] - grid[0]))
+            ap = alpha_prime_eps(path, float(grid[i]), m, region).value
+            worst = max(worst, abs(fd - ap))
+        assert derivative_consistency(path, grid, m, region) == worst
+
     def test_grid_validation(self) -> None:
         path = generate_path(0.5, 1.0, 64, 0)
         m = Mollifier(0.02)
@@ -293,6 +314,21 @@ class TestHolderEstimate:
             holder_exponent_estimate(np.zeros((4, 64)), "time", 0.5,
                                      lags=[2, 4])
 
+    def test_memory_layout_does_not_move_a_bit(self) -> None:
+        rng = np.random.default_rng(3)
+        field = np.cumsum(rng.normal(size=(5, 257)), axis=1)
+        fortran = np.asfortranarray(field)
+        c, f = (holder_exponent_estimate(x, "time", 0.5) for x in (field, fortran))
+        assert c.mean_square_increments == f.mean_square_increments
+        assert c.estimated_exponent == f.estimated_exponent
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_degenerate_increments_raise(self, bad: float) -> None:
+        field = np.full((3, 65), bad)
+        with pytest.raises(FloatingPointError):
+            holder_exponent_estimate(field, "time", 0.5)
+
 
 class TestProbeZero:
     """Ensemble statistics of the derivative estimator around the origin."""
@@ -307,6 +343,15 @@ class TestProbeZero:
         np.testing.assert_array_equal(res["renormalized_variance"],
                                       res["variance"])
         assert res["oracle_mean"][2] == 0.0  # y = 0 center
+
+    def test_rows_equal_per_y_loop(self) -> None:
+        y = np.linspace(-0.4, 0.4, 7)
+        m = Mollifier(0.02)
+        res = continuity_probe_at_zero(range(3), 0.55, y, m, n_steps=128)
+        paths = [generate_path(0.55, 1.0, 128, s) for s in range(3)]
+        rows = np.array([[alpha_prime_eps(p, v, m).value for v in y] for p in paths])
+        assert np.array_equal(res["mean"], rows.mean(axis=0))
+        assert np.array_equal(res["variance"], rows.var(axis=0, ddof=1))
 
     def test_domain_validation(self) -> None:
         m = Mollifier(0.02)
