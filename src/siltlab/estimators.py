@@ -15,7 +15,8 @@ triangles bit for bit.  The kernel runs on cache-sized tiles of rows and
 each row is summed over exactly its own prefix, so the tile size cannot
 change a bit.  The offset y may be a 1-D grid: it becomes a leading axis
 of every tile, and each y's row sums, region sums and profile equal the
-scalar call at that y bit for bit.
+scalar call at that y bit for bit.  The engine skips only terms that the
+exp clamp makes exactly 0.0, and each row still sums its whole prefix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fbm import FbmPath, check_hurst
-from .mollifier import Mollifier, f_eps, f_eps_prime
+from .mollifier import _EXP_FLOOR, Mollifier, f_eps, f_eps_prime
 
 __all__ = [
     "Region",
@@ -172,9 +173,13 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
     [i0, min(i1, j - g_min + 1)) with np.sum.  The kernel runs on tiles of
     consecutive rows, each as wide as the tile's longest prefix, and each
     row is summed over exactly its own contiguous prefix: the kernels are
-    elementwise, so tile size cannot change a bit.  ``weight``, if given,
-    holds w(g) at index g - 1 for gaps g = 1..n_steps.  Each array starts
-    with a zero (no rows yet) and has the kernel's leading axes, if any.
+    elementwise, so tile size cannot change a bit.  A kernel is exactly 0.0
+    outside its ``support`` (d_lo, d_hi), if it has one; where that holds
+    for most of a rectangle's pairs, its tiles are zeros with the kernel
+    evaluated only on the columns some row reaches inside the support.
+    ``weight``, if given, holds w(g) at index g - 1 for gaps g = 1..n_steps.
+    Each array starts with a zero (no rows yet) and has the kernel's
+    leading axes, if any.
     """
     delta = path.delta
     n = path.n_steps
@@ -187,12 +192,20 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
     budget = _TILE_PAIRS // max(1, math.prod(lead))  # pairs per tile and y
     # strict clip s - r > kappa on cell centers: smallest admissible gap index
     g_min = max(1, math.floor(region.kappa / delta + _FUZZ) + 1)
+    d_lo, d_hi = getattr(func, "support", (-np.inf, np.inf))
+    pad = 4.0 * math.ulp(float(np.abs(values).max()) + max(-d_lo, d_hi))  # rounding
+    d_lo, d_hi = d_lo - pad, d_hi + pad
     out = []
     for rect in region.rectangles:
         # half-open index ranges [i0, i1) x [j0, j1) of the grid times inside
         i0, i1, j0, j1 = np.clip(_grid_ceil(rect, delta), 0, n + 1).tolist()
         rows = np.zeros(lead + (max(0, j1 - j0) + 1,))
         j = max(j0, i0 + g_min)  # first row with a nonempty prefix
+        sparse = math.isfinite(d_hi - d_lo) and j < j1 and i0 < i1
+        if sparse:  # skip the zeros if they are most of the pairs
+            c, b = np.sort(values[i0:min(i1, j1 - g_min)]), values[j:j1]
+            near = np.searchsorted(c, b - d_lo, "right") - np.searchsorted(c, b - d_hi)
+            sparse = 2 * near.sum() < b.size * c.size
         while j < j1 and i0 < i1:
             # a prefix grows by at most one per row, so r * (width + r) bounds
             # the tile, discarded columns included
@@ -200,7 +213,13 @@ def _row_sums(path: FbmPath, region: Region, func, weight=None) -> list:
             jb = min(j1, j + max(1, (math.isqrt(width * width + 4 * budget)
                                      - width) // 2))
             hi = min(i1, jb - g_min)
-            terms = func(values[j:jb, None] - values[None, i0:hi])
+            b, c = values[j:jb], values[i0:hi]
+            if sparse:  # columns that some row of the tile sees in the support
+                keep = np.flatnonzero((c >= b.min() - d_hi) & (c <= b.max() - d_lo))
+                terms = np.zeros(lead + (jb - j, hi - i0))
+                terms[..., keep] = func(b[:, None] - c[keep])
+            else:
+                terms = func(b[:, None] - c)
             if weight is not None:
                 gaps = np.arange(j - 1, jb - 1)[:, None] - np.arange(i0, hi)
                 terms = terms * weight.take(gaps, mode="clip")
@@ -233,9 +252,15 @@ def _kernel(y, m: Mollifier, derivative: bool):
     if not np.all(np.isfinite(y)):
         raise ValueError(f"y must be finite, got {y!r}")
     y = np.asarray(y, dtype=float)[..., None, None]
-    if derivative:
-        return lambda d: -f_eps_prime(d - y, m)
-    return lambda d: f_eps(d - y, m)
+
+    def kernel(d):
+        return -f_eps_prime(d - y, m) if derivative else f_eps(d - y, m)
+
+    # beyond rho every term is 0.0 (nan for f_eps' if eps^3 underflows)
+    if y.size and (not derivative or m.epsilon ** 3 > 0.0):
+        rho = math.sqrt(-2.0 * _EXP_FLOOR * m.epsilon) * (1.0 + 1e-6)
+        kernel.support = (float(y.min()) - rho, float(y.max()) + rho)
+    return kernel
 
 
 def _estimate(path, y, m, region, kind, derivative, weight=None, warning=None):

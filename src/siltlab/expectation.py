@@ -104,15 +104,20 @@ def mean_alpha_prime_eps(t: float, y: float, epsilon: float,
 
     two_h = 2.0 * h
     y2 = y * y
+    # integrate in v with u = v^k.  For H < 1/2, k = 1/H turns the cusp of
+    # u^2H at 0 into v^2, and the Jacobian v^(1/H - 1) has an exponent > 1;
+    # k = 1 leaves the integrand's bits unchanged
+    k = 1.0 / h if h < 0.5 else 1.0
 
-    def integrand(u):
+    def integrand(v):
+        u = v**k
         var = epsilon + u**two_h
-        return (t - u) * math.exp(-0.5 * y2 / var) / var**1.5
+        return (t - u) * math.exp(-0.5 * y2 / var) / var**1.5 * k * v ** (k - 1.0)
 
     # breakpoints: mollifier/increment variance crossover and the y scale
-    pts = sorted({p for p in (epsilon ** (1.0 / two_h), y2 ** (1.0 / two_h))
-                  if 0.0 < p < t})
-    val, err = _quad(integrand, 0.0, t, points=pts or None)
+    pts = [p ** (1.0 / k) for p in (epsilon ** (1.0 / two_h), y2 ** (1.0 / two_h))
+           if 0.0 < p < t]
+    val, err = _quad(integrand, 0.0, t ** (1.0 / k), points=sorted(set(pts)) or None)
     pref = -y / _SQRT_2PI
     return ExpectationResult(pref * val, abs(pref) * err, t, y, epsilon, h)
 

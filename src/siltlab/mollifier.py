@@ -13,11 +13,12 @@ import numpy as np
 
 __all__ = ["Mollifier", "f_eps", "f_eps_prime", "fourier_check"]
 
-# exp underflows to subnormals below roughly exp(-745); cut to exact zero
-# there so Riemann sums reproduce across platforms.  Clamped arguments are
-# replaced by 0 rather than clamped to the floor: exp(-745) is itself a
-# subnormal, which takes libm's slow path (~100x a normal result) only for
-# the value to be discarded.
+# exp returns subnormals below exp(-708.4) and rounds to zero below about
+# exp(-745.13); arguments under the floor are cut to exact zero so Riemann
+# sums reproduce across platforms.  They are replaced by 0 rather than
+# clamped to the floor: a subnormal result takes libm's slow path (~100x a
+# normal one) only for the value to be discarded.  Arguments in
+# [-745, -708.4] still take that path.
 _EXP_FLOOR = -745.0
 
 

@@ -12,8 +12,12 @@ Tests cover:
      A y-grid gives, per y, the bits of the scalar call at that y.
   8. A non-finite result raises FloatingPointError; alpha's profile is
      nondecreasing in t at every y of a grid.
+  9. The far-field skip: pairs just inside the kernel's support are kept,
+     at any tile size, for both kernels, a y-grid and the tilde weight;
+     at small eps the kernel sees fewer pairs and misses no nonzero one.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -400,6 +404,36 @@ def _at_tile_sizes(compute):
     return results
 
 
+def _assert_bits_at_tile_sizes(compute, want):
+    """compute() gives want's bits at every tile size; where want is not
+    finite (f_eps' of an eps whose cube underflows) it raises instead."""
+    want = np.asarray(want, dtype=float)
+    for tile in TILE_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_TILE_PAIRS", tile)
+            if np.all(np.isfinite(want)):
+                got = compute()
+                assert np.shape(got) == want.shape
+                assert np.array_equal(_bits(got), _bits(want))
+            else:
+                with pytest.raises(FloatingPointError):
+                    compute()
+
+
+def _quiet_if_degenerate(m, derivative):
+    """Silence f_eps' dividing by an eps^3 that underflows to 0 (eps =
+    1e-300), whose sums must raise; every other kernel stays warned."""
+    if derivative and m.epsilon ** 3 == 0.0:
+        return np.errstate(divide="ignore", invalid="ignore")
+    return contextlib.nullcontext()
+
+
+def _reference_profile(path, y, m, derivative):
+    (rows,) = _reference_row_sums(path, full_triangle(1.0),
+                                  estimators._kernel(y, m, derivative))
+    return np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
+
+
 _REGIONS = {
     "triangle": lambda: full_triangle(1.0),
     "offset": lambda: offset_triangle(0.9, 0.13),
@@ -412,13 +446,16 @@ _REGIONS = {
 
 _paths = st.builds(generate_path, st.floats(0.2, 0.8), st.just(1.0),
                    st.integers(2, 160), st.integers(0, 2 ** 16))
-_mollifiers = st.sampled_from((1e-4, 0.01, 0.2)).map(Mollifier)
+# below 1e-4 the exp clamp zeroes most pairs, so the engine skips them;
+# at 1e-300 only exactly equal offsets survive and f_eps' is nan
+_mollifiers = st.sampled_from((1e-300, 1e-8, 2e-5, 1e-4, 0.01, 0.2)).map(Mollifier)
 _offsets = st.floats(-0.5, 0.5)
 _y_grids = st.lists(_offsets, min_size=1, max_size=5).map(np.array)
 
 
 class TestTileInvariance:
-    """The row-tiled engine gives the per-row loop's bits at any tile size."""
+    """The row-tiled engine gives the per-row loop's bits at any tile size,
+    whether or not it skips the kernel's exact-zero far field."""
 
     @settings(max_examples=40, deadline=None)
     @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids,
@@ -427,49 +464,45 @@ class TestTileInvariance:
     def test_pair_sum(self, path, m, y, ys, region, derivative) -> None:
         region = _REGIONS[region]()
         func = estimators._kernel(y, m, derivative)
-        want = _reference_pair_sum(path, region, func)
-        for got in _at_tile_sizes(lambda: pair_sum(path, region, func)):
-            assert _bits(got) == _bits(want)
-        # a y-grid gives one sum per y, each the scalar call's bits
-        want = [_reference_pair_sum(path, region, estimators._kernel(v, m, derivative))
-                for v in ys]
-        batched = estimators._kernel(ys, m, derivative)
-        for got in _at_tile_sizes(lambda: pair_sum(path, region, batched)):
-            assert got.shape == ys.shape
-            assert np.array_equal(_bits(got), _bits(want))
+        with _quiet_if_degenerate(m, derivative):
+            _assert_bits_at_tile_sizes(lambda: pair_sum(path, region, func),
+                                       _reference_pair_sum(path, region, func))
+            # a y-grid gives one sum per y, each the scalar call's bits
+            want = [_reference_pair_sum(path, region,
+                                        estimators._kernel(v, m, derivative))
+                    for v in ys]
+            batched = estimators._kernel(ys, m, derivative)
+            _assert_bits_at_tile_sizes(lambda: pair_sum(path, region, batched), want)
 
     @settings(max_examples=25, deadline=None)
     @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids)
     def test_weighted_tilde_estimator(self, path, m, y, ys) -> None:
         gaps = path.delta * np.arange(1, path.n_steps + 1)
         weight = gaps ** (2.0 * path.hurst - 1.0)
-        want = _reference_pair_sum(path, full_triangle(1.0),
-                                   estimators._kernel(y, m, True), weight)
-        for got in _at_tile_sizes(lambda: alpha_tilde_prime_eps(path, y, m).value):
-            assert _bits(got) == _bits(want)
-        want = [alpha_tilde_prime_eps(path, v, m).value for v in ys]
-        batched = estimators._kernel(ys, m, True)
-        for got in _at_tile_sizes(
-                lambda: pair_sum(path, full_triangle(1.0), batched, weight)):
-            assert np.array_equal(_bits(got), _bits(want))
+        with _quiet_if_degenerate(m, True):
+            want = _reference_pair_sum(path, full_triangle(1.0),
+                                       estimators._kernel(y, m, True), weight)
+            _assert_bits_at_tile_sizes(
+                lambda: alpha_tilde_prime_eps(path, y, m).value, want)
+            want = [_reference_pair_sum(path, full_triangle(1.0),
+                                        estimators._kernel(v, m, True), weight)
+                    for v in ys]
+            batched = estimators._kernel(ys, m, True)
+            _assert_bits_at_tile_sizes(
+                lambda: pair_sum(path, full_triangle(1.0), batched, weight), want)
 
     @settings(max_examples=25, deadline=None)
     @given(path=_paths, m=_mollifiers, y=_offsets, ys=_y_grids,
            derivative=st.booleans())
     def test_time_profiles(self, path, m, y, ys, derivative) -> None:
-        (rows,) = _reference_row_sums(path, full_triangle(1.0),
-                                      estimators._kernel(y, m, derivative))
-        want = np.concatenate(([0.0], path.delta * path.delta * np.cumsum(rows)))
-        for got in _at_tile_sizes(
-                lambda: alpha_time_profile(path, y, m, derivative=derivative)):
-            assert np.array_equal(_bits(got), _bits(want))
-        # a y-grid gives one profile row per y, each the scalar call's bits
-        want = np.stack([alpha_time_profile(path, v, m, derivative=derivative)
-                         for v in ys])
-        for got in _at_tile_sizes(
-                lambda: alpha_time_profile(path, ys, m, derivative=derivative)):
-            assert got.shape == (ys.size, path.n_steps + 1)
-            assert np.array_equal(_bits(got), _bits(want))
+        with _quiet_if_degenerate(m, derivative):
+            _assert_bits_at_tile_sizes(
+                lambda: alpha_time_profile(path, y, m, derivative=derivative),
+                _reference_profile(path, y, m, derivative))
+            # a y-grid gives one profile row per y, each the scalar call's bits
+            want = np.stack([_reference_profile(path, v, m, derivative) for v in ys])
+            _assert_bits_at_tile_sizes(
+                lambda: alpha_time_profile(path, ys, m, derivative=derivative), want)
 
     @settings(max_examples=25, deadline=None)
     @given(path=_paths, m=_mollifiers, y=_offsets, level=st.integers(1, 4),
@@ -479,11 +512,112 @@ class TestTileInvariance:
                                 unique=True))
         parts = [dyadic_square(level, k) for k in ks]
         union = region_union(*parts)
-        for est in (alpha_eps, alpha_prime_eps):
+        for est, derivative in ((alpha_eps, False), (alpha_prime_eps, True)):
+            with _quiet_if_degenerate(m, derivative):
+                if not math.isfinite(_reference_pair_sum(
+                        path, union, estimators._kernel(y, m, derivative))):
+                    _assert_bits_at_tile_sizes(lambda: est(path, y, m, union), math.nan)
+                    continue
             for whole, pieces in _at_tile_sizes(lambda: (
                     est(path, y, m, union).value,
                     [est(path, y, m, r).value for r in parts])):
                 assert _bits(whole) == _bits(sum(pieces))
+
+
+def _last_nonzero_offset(kernel, y, m, side):
+    """The pair difference d furthest from y on the given side (+1 or -1)
+    at which the kernel is still nonzero: beyond it the exp clamp zeroes
+    every term."""
+    d = y + side * math.sqrt(1490.0 * m.epsilon)
+    while kernel(np.array([[d]])).any():
+        d = np.nextafter(d, side * np.inf)
+    while not kernel(np.array([[d]])).any():
+        d = np.nextafter(d, -side * np.inf)
+    return float(d)
+
+
+def _isolated_pair_path(d, n=16):
+    """A path whose only pair near any offset in [-1, 1] is (0, d), in row 1;
+    the other samples sit 10 apart, far outside every kernel's support."""
+    values = np.concatenate(([0.0, d], 10.0 * np.arange(1, n)))
+    return FbmPath(hurst=0.5, horizon=1.0, n_steps=n, seed=0, values=values)
+
+
+def _assert_rows_match_reference(path, m, ys, derivative, weight=None):
+    """Engine row sums equal the per-row loop's bits, at every tile size,
+    for each y alone and for the y-grid as one call."""
+    region = full_triangle(1.0)
+    want = [np.concatenate(([0.0], _reference_row_sums(
+        path, region, estimators._kernel(v, m, derivative), weight)[0]))
+        for v in ys]
+    for v, w in zip(ys, want):
+        kernel = estimators._kernel(v, m, derivative)
+        for (rows,) in _at_tile_sizes(
+                lambda: estimators._row_sums(path, region, kernel, weight)):
+            assert np.array_equal(_bits(rows), _bits(w))
+    batched = estimators._kernel(np.array(ys), m, derivative)
+    for (rows,) in _at_tile_sizes(
+            lambda: estimators._row_sums(path, region, batched, weight)):
+        assert np.array_equal(_bits(rows), _bits(np.stack(want)))
+
+
+class TestFarFieldSkip:
+    """The engine evaluates the kernel only where the exp clamp can leave
+    a nonzero term, and the terms it skips are exactly the zeros."""
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("y", [0.5, -0.5])
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_support_boundary(self, derivative, y, side, ulps) -> None:
+        # eps = 1.5e-3 puts the cut at |d - y| ~ 1.5, where both kernels
+        # still leave a subnormal term: exp(-745) times |d - y| > 1/2
+        m = Mollifier(1.5e-3)
+        kernel = estimators._kernel(y, m, derivative)
+        d = _last_nonzero_offset(kernel, y, m, side)
+        for _ in range(abs(ulps)):
+            d = float(np.nextafter(d, ulps * side * np.inf))
+        path = _isolated_pair_path(d)
+        assert kernel(np.array([[d]])).any() == (ulps <= 0)
+        gaps = path.delta * np.arange(1, path.n_steps + 1)
+        for weight in (None, gaps ** -0.4):  # tilde weight at H = 0.3
+            _assert_rows_match_reference(path, m, [y, -y, 0.0], derivative, weight)
+
+    def test_offset_finer_than_an_ulp_of_the_path(self) -> None:
+        # at eps = 1e-300 the support is far below an ulp of B, so only a
+        # difference that rounds exactly onto y survives; fl(B_j - y) then
+        # misses B_i by an ulp unless the column bounds are widened
+        path = generate_path(0.5, 1.0, 64, 0)
+        v = path.values[:64]
+        d = v[:, None] - v[None, :]
+        j, i = next((j, i) for j in range(64) for i in range(j)
+                    if v[j] - d[j, i] != v[i])
+        m = Mollifier(1e-300)
+        assert estimators._kernel(d[j, i], m, False)(np.array([[d[j, i]]])).all()
+        _assert_rows_match_reference(path, m, [d[j, i]], False)
+
+    def test_skip_runs(self) -> None:
+        path = generate_path(0.5, 1.0, 1024, 0)
+        m = Mollifier(2e-5)
+        kernel = estimators._kernel(0.0, m, False)
+        seen = []
+
+        def counting(d):
+            seen.append(d.ravel())
+            return kernel(d)
+
+        counting.support = kernel.support
+        region = full_triangle(1.0)
+        got = pair_sum(path, region, counting)
+        assert _bits(got) == _bits(_reference_pair_sum(path, region, kernel))
+        pairs = 1024 * 1023 // 2
+        seen = np.concatenate(seen)
+        print(f"  kernel saw {seen.size / pairs:.1%} of the pairs")
+        assert seen.size < 0.7 * pairs
+        # every difference with a nonzero term was among them
+        v = path.values[:1024]
+        d = (v[:, None] - v)[np.tril_indices(1024, -1)]
+        assert np.isin(d[kernel(d[None, :])[0] != 0.0], seen).all()
 
 
 class TestProfileProperties:

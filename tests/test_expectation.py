@@ -63,6 +63,19 @@ class TestMollifiedMean:
         got = mean_alpha_prime_eps(1.0, 0.5, 0.01, 0.3).value
         assert got == pytest.approx(-0.30236616514895087, rel=1e-10)
 
+    # in u, quad raised QuadratureError at the first two points and was
+    # 2.7e-3 off at the third; the reference values come from 30-digit
+    # mpmath quadrature of the u-integral
+    @pytest.mark.parametrize("y,eps,h,want", [
+        (0.125, 0.0078125, 0.109375, -0.04296326264421823827),
+        (1e-3, 1e-4, 0.15, -4.6777590450460592882e-4),
+        (1e-4, 1e-6, 0.25, -1.2734216446413777e-4),
+    ])
+    def test_small_hurst_against_mpmath(self, y, eps, h, want) -> None:
+        got = mean_alpha_prime_eps(1.0, y, eps, h)
+        assert got.value == pytest.approx(want, rel=1e-10)
+        assert got.abs_error_estimate < 1e-10 * abs(want)
+
     def test_odd_in_y(self) -> None:
         a = mean_alpha_prime_eps(1.0, 0.37, 0.02, 0.4).value
         b = mean_alpha_prime_eps(1.0, -0.37, 0.02, 0.4).value
@@ -221,7 +234,7 @@ class TestOddInY:
 
     @settings(max_examples=30, deadline=None)
     @given(y=st.floats(1e-6, 3.0), eps=st.floats(1e-4, 0.1), h=st.floats(0.1, 0.9))
-    @example(y=0.125, eps=0.0078125, h=0.109375)  # the quadrature fails on both sides
+    @example(y=0.125, eps=0.0078125, h=0.109375)  # raised before the v = u^2H rule
     def test_mollified_mean(self, y, eps, h) -> None:
         _assert_odd(lambda v: mean_alpha_prime_eps(1.0, v, eps, h), y)
 
