@@ -26,8 +26,9 @@ def main() -> None:
     print()
     print(f"extrapolated derivative at epsilon=0: {extrapolated.value:.8f} "
           f"(converged={extrapolated.converged})")
-    print("successive differences shrink geometrically, so the ladder is")
-    print("inside the asymptotic regime and the extrapolation is trustworthy.")
+    if extrapolated.converged:
+        print("the successive differences shrink monotonically; that alone")
+        print("does not bound the error of the extrapolated value.")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, io
 from .arcs import (
+    _MAX_N,
     PairConfiguration,
     build_spanning_sets,
     classify_gaps,
@@ -50,6 +51,7 @@ from .estimators import (
 )
 from .expectation import (
     QuadratureError,
+    UnderflowError,
     asymptotic_constant,
     mean_alpha_prime,
     mean_alpha_prime_eps,
@@ -239,8 +241,6 @@ def _run(command: str, ns) -> int:
         return _emit_config_error(exc)
     except (SynthesisError, QuadratureError, ArithmeticError) as exc:
         return _emit_numerical_error(exc)
-    except ValueError as exc:
-        return _emit_config_error(ConfigError([("parameters", str(exc))]))
     manifest = io.write_manifest(outdir, command, cfg, outputs)
     print(f"manifest: {manifest}")
     return 0
@@ -377,10 +377,10 @@ _EXPECTATION_FIELDS = (
 
 def _compute_expectation(cfg, outdir):
     h, t, y, eps = cfg["H"], cfg["t"], cfg["y"], cfg["epsilon"]
-    if eps == 0.0:
-        res = mean_alpha_prime(t, y, h)
-    else:
-        res = mean_alpha_prime_eps(t, y, eps, h)
+    try:
+        res = mean_alpha_prime(t, y, h) if eps == 0.0 else mean_alpha_prime_eps(t, y, eps, h)
+    except UnderflowError as exc:
+        raise ConfigError([(exc.parameter, str(exc))]) from exc
     regime = regime_classify(h).regime if h < 2.0 / 3.0 else ""
     rows = [(h, t, y, eps, res.value, res.abs_error_estimate, regime)]
     out = io.write_csv(outdir / "expectation.csv", "expectation",
@@ -652,7 +652,9 @@ def _compute_arcs_analyze(cfg, outdir):
 
 
 _ARCS_ENUMERATE_FIELDS = (
-    Field("n", _int, required=True, check=_at_least(1), help="number of arcs (<= 5)"),
+    Field("n", _int, required=True,
+          check=lambda v: None if 1 <= v <= _MAX_N else f"must lie in 1..{_MAX_N}",
+          help=f"number of arcs (<= {_MAX_N})"),
     Field("write-words", _bool, default=False,
           help="also write every word to words.csv"),
 )
@@ -687,6 +689,9 @@ _ARCS_EXPONENTS_FIELDS = (
 
 
 def _compute_arcs_exponents(cfg, outdir):
+    order = "gamma" if cfg["mode"] == "t" else "lam"
+    if cfg[order] is None:
+        raise ConfigError([(order, f"required for mode {cfg['mode']}")])
     report = convergence_exponents(cfg["H"], lam=cfg["lam"], gamma=cfg["gamma"],
                                    mode=cfg["mode"], restricted=cfg["restricted"])
     payload = {

@@ -46,7 +46,6 @@ __all__ = [
     "local_time",
     "alpha_via_local_time",
     "epsilon_extrapolate",
-    "renormalized_alpha_prime",
     "default_epsilon_ladder",
 ]
 
@@ -396,17 +395,6 @@ def epsilon_extrapolate(estimates) -> SiltEstimate:
     mags = np.abs(d)
     converged = bool(np.all(np.diff(mags) <= 1e-15 + 1e-9 * mags[:-1]))
     return replace(ests[-1], epsilon=0.0, value=float(limit), converged=converged)
-
-
-def renormalized_alpha_prime(path: FbmPath, y: float, m: Mollifier,
-                             oracle_mean: float,
-                             region: Region | None = None) -> float:
-    """alpha_prime_eps minus a caller-supplied expected value.
-
-    The subtraction recenters the derivative estimator; the matching mean
-    comes from the expectation module at the same (t, y, epsilon, H).
-    """
-    return alpha_prime_eps(path, y, m, region).value - float(oracle_mean)
 
 
 def default_epsilon_ladder(horizon: float, hurst: float) -> list:

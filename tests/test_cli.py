@@ -120,6 +120,35 @@ class TestConfiguration:
         assert "must be finite" in record["fields"][field]
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv,field", [
+        (["arcs", "enumerate", "--n", "6"], "n"),
+        (["arcs", "exponents", "--H", "0.3"], "lam"),
+        (["arcs", "exponents", "--H", "0.3", "--mode", "t"], "gamma"),
+        (["expectation", "--H", "0.3", "--y", "1e-170"], "y"),
+        (["expectation", "--H", "0.5", "--y", "1e-150", "--epsilon", "1e-300"],
+         "epsilon"),
+    ], ids=["arcs-n-6", "exponents-without-lam", "exponents-t-without-gamma",
+            "expectation-y-underflows", "expectation-epsilon-underflows"])
+    def test_out_of_range_inputs_name_their_field(self, tmp_path, capsys,
+                                                  argv, field):
+        out = tmp_path / "o"
+        rc = main(argv + ["--output", str(out)])
+        record = _last_json(capsys.readouterr().err)
+        assert rc == 2
+        assert record["error"] == "invalid-config"
+        assert set(record["fields"]) == {field}
+        assert not (out / "manifest.json").exists()
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path,
+                                                       monkeypatch):
+        # a ValueError raised inside the library is a bug, not a user error
+        def broken(*args, **kwargs):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr("siltlab.cli.generate_path", broken)
+        with pytest.raises(ValueError, match="library bug"):
+            main(["simulate", "--H", "0.5", "--output", str(tmp_path / "o")])
+
 
 # ---------------------------------------------------------------------------
 # output discipline
@@ -237,6 +266,16 @@ class TestExpectation:
         want = mean_alpha_prime(1.0, 0.4, 0.3).value
         assert float(rows[0]["value"]) == want
         assert rows[0]["regime"] == "subcritical"
+
+    def test_tiny_epsilon_is_finite(self, tmp_path, capsys):
+        # in u, eps + u^2H = 1e-300 made the rule divide by zero (exit 3)
+        out = tmp_path / "o"
+        rc = main(["expectation", "--H", "0.5", "--y", "0.1",
+                   "--epsilon", "1e-300", "--output", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        _, rows = read_csv(out / "expectation.csv")
+        want = mean_alpha_prime(1.0, 0.1, 0.5).value
+        assert float(rows[0]["value"]) == pytest.approx(want, rel=1e-12)
 
     def test_reports_value_over_y(self, tmp_path, capsys):
         rc = main(["expectation", "--H", "0.5", "--y", "1e-4",

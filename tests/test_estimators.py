@@ -46,7 +46,6 @@ from siltlab.estimators import (
     pair_sum,
     profile_index,
     region_union,
-    renormalized_alpha_prime,
 )
 from siltlab.fbm import FbmPath, generate_path
 from siltlab.mollifier import Mollifier, f_eps, f_eps_prime
@@ -329,13 +328,6 @@ class TestFrozenValues:
         other = alpha_prime_eps(generate_path(0.3, 1.0, 128, 2), 0.5, m3)
         with pytest.raises(ValueError):
             epsilon_extrapolate([a, b, other])     # mixed seeds
-
-    def test_renormalized_subtracts_exactly(self) -> None:
-        p = generate_path(0.55, 1.0, 128, 6)
-        m = Mollifier(0.01)
-        raw = alpha_prime_eps(p, 0.2, m).value
-        out = renormalized_alpha_prime(p, 0.2, m, oracle_mean=-0.125)
-        assert out == raw - (-0.125)
 
     def test_default_ladder_scales_with_horizon(self) -> None:
         base = default_epsilon_ladder(1.0, 0.4)

@@ -7,6 +7,10 @@ Tests cover:
      subcritical slope, critical log factor, supercritical jump.
   4. Both means are odd in y bit for bit: the integrand depends on y^2
      only and the prefactor on -y.
+  5. The whole domain: every draw returns a finite, resolved, exactly odd
+     value, and the mean is exactly self-similar in the horizon.
+
+The literal mpmath references come from tests/mpmath_references.py.
 """
 
 import math
@@ -15,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from siltlab.expectation import (
     AsymptoticRegime,
     ExpectationResult,
     QuadratureError,
+    UnderflowError,
     asymptotic_constant,
     mean_alpha_prime,
     mean_alpha_prime_eps,
@@ -76,6 +82,40 @@ class TestMollifiedMean:
         assert got.value == pytest.approx(want, rel=1e-10)
         assert got.abs_error_estimate < 1e-10 * abs(want)
 
+    # the u rule raised QuadratureError at the first two points and was
+    # 71% low at the third, with an error estimate of 1e-12; an absolute
+    # tolerance of 1e-10 fails the fourth, whose integral is about 1e-8
+    @pytest.mark.parametrize("t,y,eps,h,want", [
+        (1.0, 1e-4, 1e-7, 0.5, -0.24801084033326457),
+        (1.0, 1e-5, 1e-8, 0.6, -1.2325732607002524),
+        (1.0, 2e-5, 1e-8, 0.5, -0.15848750670838496),
+        (0.5, 3.72, 0.154, 0.674, -1.7142198782745554e-08),
+    ])
+    def test_small_epsilon_against_mpmath(self, t, y, eps, h, want) -> None:
+        got = mean_alpha_prime_eps(t, y, eps, h)
+        assert got.value == pytest.approx(want, rel=1e-10)
+        assert got.abs_error_estimate <= 1e-8 * abs(got.value)
+
+    def test_tiny_epsilon_is_the_sharp_mean(self) -> None:
+        # in u, eps + u^2H = 1e-300 made var^1.5 underflow to 0
+        got = mean_alpha_prime_eps(1.0, 0.1, 1e-300, 0.5).value
+        assert got == pytest.approx(mean_alpha_prime(1.0, 0.1, 0.5).value, rel=1e-12)
+
+    def test_one_underflowing_scale_is_harmless(self) -> None:
+        # y^2 underflows: the mean is linear in y this far below sqrt(eps)
+        tiny = mean_alpha_prime_eps(1.0, 1e-170, 0.01, 0.3).value / 1e-170
+        small = mean_alpha_prime_eps(1.0, 1e-100, 0.01, 0.3).value / 1e-100
+        assert tiny == pytest.approx(small, rel=1e-14)
+        # eps t^-2H underflows: the mean is the sharp one
+        got = mean_alpha_prime_eps(4.0, 0.1, 5e-324, 0.98).value
+        assert got == mean_alpha_prime(4.0, 0.1, 0.98).value
+
+    def test_overflowing_cut_names_epsilon(self) -> None:
+        # the tail cut past the bend at eps = 1e-300 puts e^(2Hx) past range
+        with pytest.raises(UnderflowError) as info:
+            mean_alpha_prime_eps(1.0, 1e-150, 1e-300, 0.5)
+        assert info.value.parameter == "epsilon" and "epsilon" in str(info.value)
+
     def test_odd_in_y(self) -> None:
         a = mean_alpha_prime_eps(1.0, 0.37, 0.02, 0.4).value
         b = mean_alpha_prime_eps(1.0, -0.37, 0.02, 0.4).value
@@ -116,6 +156,13 @@ class TestSharpMean:
         assert a == -b
         assert mean_alpha_prime(1.0, 0.0, 0.35).value == 0.0
 
+    @pytest.mark.parametrize("y", [1e-170, 1e-154])
+    def test_tiny_offset_raises_underflow(self, y) -> None:
+        # 1e-170: y^2 underflows; 1e-154: e^(2Hx) overflows at the cut
+        with pytest.raises(UnderflowError) as info:
+            mean_alpha_prime(1.0, y, 0.5)
+        assert info.value.parameter == "y"
+
     def test_huge_offset_underflows_to_zero(self) -> None:
         assert mean_alpha_prime(1.0, 60.0, 0.3).value == 0.0
 
@@ -153,10 +200,16 @@ class TestRegimes:
 
     @pytest.mark.parametrize("h", [0.35, 0.4, 0.5, 0.6, 0.65])
     def test_tail_integral_closed_form(self, h) -> None:
-        # quadrature inside asymptotic_constant vs the Gamma identity
+        # direct quadrature of int_0^inf v^-3H exp(-v^-2H / 2) dv, an
+        # independent reference for the Gamma form and the constant
+        def f(v):
+            return v ** (-3.0 * h) * math.exp(-0.5 * v ** (-2.0 * h))
+
+        tail = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((0.0, 1.0), (1.0, np.inf)))
+        assert tail_integral_closed_form(h) == pytest.approx(tail, rel=1e-12)
         reg = asymptotic_constant(1.0, h)
-        closed = -tail_integral_closed_form(h) / SQRT_2PI
-        assert reg.constant == pytest.approx(closed, rel=1e-10)
+        assert reg.constant == pytest.approx(-tail / SQRT_2PI, rel=1e-12)
 
     def test_supercritical_constant_at_half_is_minus_one(self) -> None:
         # 2^(1/2 - 1) Gamma(1/2) / (1/2) = sqrt(2 pi), so C = -t
@@ -218,15 +271,13 @@ class TestRegimes:
         assert (reg.t, reg.hurst) == (1.0, 0.2)
 
 
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
 def _assert_odd(mean, y) -> None:
-    """mean(-y) is -mean(y) bit for bit, or both raise QuadratureError."""
-    try:
-        a = mean(y).value
-    except QuadratureError:
-        with pytest.raises(QuadratureError):
-            mean(-y)
-        return
-    assert np.float64(mean(-y).value).view(np.int64) == np.float64(-a).view(np.int64)
+    """mean(-y) is -mean(y) bit for bit."""
+    assert _bits(mean(-y).value) == _bits(-mean(y).value)
 
 
 class TestOddInY:
@@ -234,7 +285,7 @@ class TestOddInY:
 
     @settings(max_examples=30, deadline=None)
     @given(y=st.floats(1e-6, 3.0), eps=st.floats(1e-4, 0.1), h=st.floats(0.1, 0.9))
-    @example(y=0.125, eps=0.0078125, h=0.109375)  # raised before the v = u^2H rule
+    @example(y=0.125, eps=0.0078125, h=0.109375)  # raised in u
     def test_mollified_mean(self, y, eps, h) -> None:
         _assert_odd(lambda v: mean_alpha_prime_eps(1.0, v, eps, h), y)
 
@@ -242,3 +293,40 @@ class TestOddInY:
     @given(y=st.floats(1e-6, 3.0), h=st.floats(0.1, 0.9))
     def test_sharp_mean(self, y, h) -> None:
         _assert_odd(lambda v: mean_alpha_prime(1.0, v, h), y)
+
+
+def _either_mean(t, y, eps, h):
+    if eps == 0.0:
+        return mean_alpha_prime(t, y, h)
+    return mean_alpha_prime_eps(t, y, eps, h)
+
+
+_T = st.floats(0.25, 4.0)
+_Y = st.builds(lambda e, sign: sign * 10.0**e,
+               st.floats(-6.0, math.log10(4.0)), st.sampled_from([-1.0, 1.0]))
+_EPS = st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e))
+_H = st.floats(0.02, 0.98)
+
+
+class TestWholeDomain:
+    """H in [0.02, 0.98], |y| in [1e-6, 4], eps in {0} + [1e-8, 1], t in [1/4, 4]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=_T, y=_Y, eps=_EPS, h=_H)
+    @example(t=1.0, y=1e-4, eps=1e-7, h=0.5)   # raised in u
+    @example(t=1.0, y=2e-5, eps=1e-8, h=0.5)   # 71% low in u
+    @example(t=4.0, y=-1e-6, eps=1e-8, h=0.02)
+    @example(t=0.25, y=4.0, eps=1.0, h=0.98)
+    def test_finite_resolved_and_odd(self, t, y, eps, h) -> None:
+        res = _either_mean(t, y, eps, h)
+        assert math.isfinite(res.value) and res.value != 0.0
+        assert res.abs_error_estimate <= 1e-8 * abs(res.value)
+        assert _bits(_either_mean(t, -y, eps, h).value) == _bits(-res.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=_T, y=_Y, eps=_EPS, h=_H, c=st.floats(0.25, 4.0))
+    def test_self_similar_in_the_horizon(self, t, y, eps, h, c) -> None:
+        # (c t, c^H y, c^2H eps) leaves a = y^2 t^-2H / 2 and b = eps t^-2H
+        base = _either_mean(t, y, eps, h).value
+        scaled = _either_mean(c * t, c**h * y, c ** (2.0 * h) * eps, h).value
+        assert scaled == pytest.approx(c ** (2.0 - 2.0 * h) * base, rel=1e-12)
