@@ -7,8 +7,8 @@ integral over the triangle to one dimension:
                                    exp(-y^2 / (2 (eps + u^2H))) du
 
 Its scales u ~ eps^(1/2H) and |y|^(1/H) lie far below any fixed grid, so
-one rule, in x = log(t/u), serves eps >= 0 (see _mean for its truncation
-bound, 1e-14 of the integral).  Small-y asymptotics split by 3H - 1.
+one rule, in x = log(t/u), serves eps >= 0 (see _integral for its
+truncation bound, 1e-14 of the integral).  Small-y asymptotics split by 3H - 1.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .fbm import check_hurst
 
@@ -44,10 +41,16 @@ _EXP_MAX = math.log(sys.float_info.max)
 # past the start of the e^-x (or e^((3H-1)x)) decay that reaches it
 _TAIL_REL = 1e-14
 _TAIL_SPAN = math.log(1.0 + 2.0**1.5 / ((1.0 - math.exp(-1.0)) * _TAIL_REL))
+# the direct integral gives way to the scaled one below about e^-650, where
+# its value nears double underflow (the scaled one is about 1 at x = 0)
+_LOG_SCALED = 650.0
+# log E <= log prefactor (< 2200) - off + log integral (< 710): past this
+# offset E is below double range
+_OFF_MAX = 4000.0
 
 
 class UnderflowError(ValueError):
-    """y or epsilon (named by `parameter`) is too small for double range."""
+    """y, epsilon or t (named by `parameter`) puts the mean past double range."""
 
     def __init__(self, parameter: str, message: str):
         super().__init__(message)
@@ -90,6 +93,8 @@ class AsymptoticRegime:
 
 
 def _quad(f, a, b, epsrel=1e-10, limit=400):
+    from scipy.integrate import quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         val, err = quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=limit)
@@ -101,37 +106,29 @@ def _quad(f, a, b, epsrel=1e-10, limit=400):
     return val, err
 
 
-def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
-    """E at epsilon >= 0, integrated in x = log(t/u).
+def _integral(a: float, b: float, d: float, h: float, off: float = 0.0):
+    """e^off int_0^inf (1-e^-x) e^((3H-1)x - a g/s) s^-1.5 dx, with g = e^(2Hx)
+    and s = d + b g; off <= a / (d + b), the least a g/s, keeps it in range.
 
-    With g = e^(2Hx), a = y^2 t^-2H / 2, b = epsilon t^-2H, s = 1 + b g,
-    E = -y t^(2-3H)/sqrt(2 pi) int_0^inf (1-e^-x) e^((3H-1)x - a g/s) s^-1.5 dx.
-    If a > 750 b, exp(-a g/s) underflows past g = 750/(a - 750 b), the upper
-    limit.  Otherwise the cut leaves a tail below _TAIL_REL of the kept
-    integral: with q = exp(-a g/s) at the cut (a g/s grows in x), the
-    integrand on [x0, cut] is at least (1 - 1/e) 2^-1.5 q r(x) and past the
-    cut at most q r(x), where r = b^-1.5 e^-x and x0 = max(bend, 1) past
-    the bend g = 1/b, or for H < 1/3 r = e^((3H-1)x) and x0 = 1 before it.
-    So the cut is x0 + _TAIL_SPAN, or 1 + _TAIL_SPAN/(1-3H) if that is
+    The cut: if a > L b with L = 750 + off, the integrand underflows past
+    g = L d/(a - L b).  Otherwise the cut leaves a tail below _TAIL_REL of
+    the kept integral: with q = exp(-a g/s) at the cut (a g/s grows in x),
+    the integrand on [x0, cut] is at least (1 - 1/e) 2^-1.5 q r(x) and past
+    the cut at most q r(x), where r = (d/b)^1.5 e^-x and x0 = max(bend, 1)
+    past the bend g = d/b, or for H < 1/3 r = e^((3H-1)x) and x0 = 1 before
+    it.  So the cut is x0 + _TAIL_SPAN, or 1 + _TAIL_SPAN/(1-3H) if that is
     before the bend.  Only a = b = 0, or e^(2Hx) overflowing below the cut,
-    raises; where a or b alone underflows, it drops < 1e-16 of the value.
+    raises.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if y == 0.0:
-        return ExpectationResult(0.0, 0.0, t, 0.0, epsilon, h)
     two_h = 2.0 * h
-    a = y * y * t**-two_h / 2.0
-    b = epsilon * t**-two_h
     if a == 0.0 and b == 0.0:
-        raise UnderflowError("y", f"y = {y:g} is too small: y^2 t^-2H underflows")
-    excess = a - _LOG_FLOOR * b
-    if excess >= _LOG_FLOOR:
-        return ExpectationResult(0.0, 0.0, t, y, epsilon, h)
+        raise UnderflowError("y", "y is too small: y^2 t^-2H underflows")
+    floor = _LOG_FLOOR + off
+    excess = a - floor * b
     if excess > 0.0:
-        x_hi, name = math.log(_LOG_FLOOR / excess) / two_h, "y"
+        x_hi, name = math.log(floor * d / excess) / two_h, "y"
     else:
-        bend = -math.log(b) / two_h
+        bend = ((math.log(d) if d > 0.0 else -math.inf) - math.log(b)) / two_h
         x_hi, name = max(bend, 1.0) + _TAIL_SPAN, "epsilon"
         if 3.0 * h < 1.0 and 1.0 + _TAIL_SPAN / (1.0 - 3.0 * h) < bend:
             x_hi = 1.0 + _TAIL_SPAN / (1.0 - 3.0 * h)
@@ -141,15 +138,66 @@ def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
 
     def integrand(x):
         g = math.exp(two_h * x)
-        s = 1.0 + b * g
+        s = d + b * g
         arg = a * g / s
-        if arg >= _LOG_FLOOR:
+        if arg >= floor:
             return 0.0
-        return (1.0 - math.exp(-x)) * math.exp((3.0 * h - 1.0) * x - arg) / s**1.5
+        return (1.0 - math.exp(-x)) * math.exp((3.0 * h - 1.0) * x - (arg - off)) / s**1.5
 
-    val, err = _quad(integrand, 0.0, x_hi)
-    pref = -y * t ** (2.0 - 3.0 * h) / _SQRT_2PI
-    return ExpectationResult(pref * val, abs(pref) * err, t, y, epsilon, h)
+    return _quad(integrand, 0.0, x_hi)
+
+
+def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
+    """E at epsilon >= 0, integrated in x = log(t/u).
+
+    With a = y^2 t^-2H / 2 and b = epsilon t^-2H,
+    E = -y t^(2-3H)/sqrt(2 pi) * _integral(a, b, 1).  That integral is
+    about exp(-a/(1+b)) (1+b)^-1.5.  Where this is below e^-_LOG_SCALED, or
+    a power or E overflows, E is formed in logs instead: for b > 1 the
+    factor b^-1.5 leaves s (_integral(a/b, 1, 1/b) times b^-1.5), the
+    offset a/(d+b) leaves the exponent, and the prefactor is exponentiated
+    last.  A result below double range is 0; one above raises
+    UnderflowError naming t.  Where a or b alone underflows, it drops
+    < 1e-16 of the value.
+    """
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    if y == 0.0:
+        return ExpectationResult(0.0, 0.0, t, 0.0, epsilon, h)
+    two_h = 2.0 * h
+    try:
+        scale = t**-two_h
+        a, b = y * y * scale / 2.0, epsilon * scale
+        if a / (1.0 + b) + 1.5 * math.log1p(b) < _LOG_SCALED:
+            val, err = _integral(a, b, 1.0, h)
+            pref = -y * t ** (2.0 - 3.0 * h) / _SQRT_2PI
+            if abs(pref * val) < math.inf:
+                return ExpectationResult(pref * val, abs(pref) * err, t, y, epsilon, h)
+    except OverflowError:
+        pass
+    log_t, log_y = math.log(t), math.log(abs(y))
+    log_a = 2.0 * log_y - math.log(2.0) - two_h * log_t
+    log_b = math.log(epsilon) - two_h * log_t if epsilon > 0.0 else -math.inf
+    log_pref = log_y + (2.0 - 3.0 * h) * log_t - math.log(_SQRT_2PI)
+    if log_b > 0.0:
+        log_a, b, d = log_a - log_b, 1.0, math.exp(-log_b)
+        log_pref -= 1.5 * log_b
+    else:
+        b, d = math.exp(log_b), 1.0
+    # an a past double range has an offset past _OFF_MAX
+    a = math.exp(min(log_a, _EXP_MAX))
+    off = a / (d + b)
+    if off > _OFF_MAX:
+        return ExpectationResult(0.0, 0.0, t, y, epsilon, h)
+    val, err = _integral(a, b, d, h, off)
+    log_value = log_pref - off + math.log(val)
+    if log_value > _EXP_MAX:
+        raise UnderflowError("t", f"t = {t:g} puts the mean past double range")
+    value = math.exp(log_value)
+    if value == 0.0:
+        return ExpectationResult(0.0, 0.0, t, y, epsilon, h)
+    return ExpectationResult(-math.copysign(value, y), value * (err / val),
+                             t, y, epsilon, h)
 
 
 def mean_alpha_prime_eps(t: float, y: float, epsilon: float,
@@ -200,6 +248,8 @@ def regime_classify(hurst: float) -> RegimeTag:
 def tail_integral_closed_form(hurst: float) -> float:
     """int_0^inf v^-3H exp(-v^-2H / 2) dv for H > 1/3: with w = v^-2H / 2,
     (1/H) int_0^inf (2w)^(1/2 - 1/(2H)) e^-w dw = the Gamma form below."""
+    from scipy.special import gamma as gamma_fn
+
     h = check_hurst(hurst)
     if not h > 1.0 / 3.0:
         raise ValueError("closed form requires H > 1/3")

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimators import Region, _kernel, alpha_time_profile, full_triangle, pair_sum
 from .expectation import mean_alpha_prime_eps
@@ -139,15 +138,19 @@ def _pair_diff_range(path: FbmPath):
     return float(np.min(v[1:] - run_max)), float(np.max(v[1:] - run_min))
 
 
-def _check_leakage(path: FbmPath, y_grid: np.ndarray, m: Mollifier):
+def _check_leakage(path: FbmPath, y_grid: np.ndarray, m: Mollifier) -> float:
+    """Mollifier mass of the pair differences past the grid; raise above the limit."""
     d_lo, d_hi = _pair_diff_range(path)
-    sig = math.sqrt(m.epsilon)
-    leak = float(ndtr((y_grid[0] - d_lo) / sig) + ndtr((d_hi - y_grid[-1]) / sig))
+    # Gaussian mass past either end of the grid: Phi(x) = erfc(-x / sqrt 2) / 2
+    scale = math.sqrt(2.0 * m.epsilon)
+    leak = 0.5 * (math.erfc((d_lo - float(y_grid[0])) / scale)
+                  + math.erfc((float(y_grid[-1]) - d_hi) / scale))
     if leak > _LEAK_LIMIT:
         raise ValueError(
             f"y_grid [{y_grid[0]:g}, {y_grid[-1]:g}] too narrow for increments in "
             f"[{d_lo:g}, {d_hi:g}]: estimated mass leakage {leak:.2e} > {_LEAK_LIMIT:g}"
         )
+    return leak
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

@@ -7,11 +7,13 @@ u-form of the mean,
     E = -y / sqrt(2 pi) * int_0^t (t-u) (eps + u^2H)^(-3/2)
                                    exp(-y^2 / (2 (eps + u^2H))) du,
 
-with mpmath tanh-sinh quadrature at 40 working digits, on pieces split
-at every power of ten from well below the integrand's scales
-eps^(1/2H) and |y|^(1/H) up to t.  A value whose mpmath error estimate
-exceeds 1e-30 relative raises ArithmeticError instead of printing: where
-the mass crowds one piece, tanh-sinh can be off in the fifth digit.
+in v = u/t (so a tiny horizon does not shrink the integral below
+mpmath's absolute error floor), with mpmath tanh-sinh quadrature at 40
+working digits, on pieces split at every power of ten from well below
+the integrand's scales eps^(1/2H) and |y|^(1/H) up to t.  A value whose
+mpmath error estimate exceeds 1e-30 relative raises ArithmeticError
+instead of printing: where the mass crowds one piece, tanh-sinh can be
+off in the fifth digit.
 Run offline with mpmath installed:
 
     python tests/mpmath_references.py
@@ -31,6 +33,8 @@ POINTS = [
     (1.0, 1e-5, 1e-8, 0.6),
     (1.0, 2e-5, 1e-8, 0.5),
     (0.5, 3.72, 0.154, 0.674),
+    (1e-100, 1.0, 1.0, 0.9),
+    (1e-300, 1e-270, 0.0, 0.9),
 ]
 
 
@@ -41,18 +45,19 @@ def reference_mean(t, y, eps, h, dps=30):
         if y == 0:
             return mp.mpf(0)
 
-        def integrand(u):
-            var = eps + u ** (2 * h)
-            return (t - u) * var ** mp.mpf(-1.5) * mp.exp(-y * y / (2 * var))
+        def integrand(v):
+            var = eps + (t * v) ** (2 * h)
+            return (1 - v) * var ** mp.mpf(-1.5) * mp.exp(-y * y / (2 * var))
 
         scales = [abs(y) ** (1 / h)] + ([eps ** (1 / (2 * h))] if eps > 0 else [])
         u = min(min(scales), t) / 1000
         pieces = [mp.mpf(0)]
         while u < t:
-            pieces.append(u)
+            pieces.append(u / t)
             u *= 10
-        pieces.append(t)
+        pieces.append(mp.mpf(1))
         value, error = mp.quad(integrand, pieces, error=True)
+        value, error = t * t * value, t * t * error
         if error > abs(value) * mp.mpf(10) ** -dps:
             point = ", ".join(mp.nstr(v, 17) for v in (t, y, eps, h))
             raise ArithmeticError(f"mpmath error estimate {mp.nstr(error, 3)} "

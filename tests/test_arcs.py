@@ -11,12 +11,16 @@ Tests cover:
   6. Component factorization and relabeling classes.
   7. Reversal duality (reverse the word, swap the endpoint roles).
   8. Convergence-exponent thresholds for every variation mode.
+  9. Properties of random words: relabeling equivariance, mirror duality,
+     and the span identities at n = 5.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siltlab.arcs import (
     ConvergenceReport,
@@ -354,6 +358,73 @@ class TestReversalDuality:
         d = self._dual(c)
         reflected = tuple(sorted(12 - j for j in gaps_following_s(c)))
         assert gaps_preceding_r(d) == reflected
+
+
+# ---------------------------------------------------------------------------
+# Random words
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _words(draw, n=st.integers(1, 5)):
+    """A uniform interleaving: the first occurrence of a label is its r."""
+    size = draw(n)
+    order = draw(st.permutations([k for k in range(1, size + 1) for _ in (0, 1)]))
+    seen = set()
+    word = []
+    for k in order:
+        word.append(("s" if k in seen else "r", k))
+        seen.add(k)
+    return PairConfiguration(tuple(word))
+
+
+def _swapped_roles(c: PairConfiguration) -> PairConfiguration:
+    """The mirror word: reversed, with every r and s exchanged."""
+    return PairConfiguration(tuple(("r" if kind == "s" else "s", idx)
+                                   for kind, idx in reversed(c.word)))
+
+
+class TestRandomWords:
+    """Invariants that hold on every word, checked on random ones."""
+
+    @given(c=_words(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_relabeling_is_equivariant(self, c, data) -> None:
+        n = c.n
+        image = data.draw(st.permutations(range(1, n + 1)))
+        pi = dict(zip(range(1, n + 1), image))
+        d = PairConfiguration(tuple((kind, pi[idx]) for kind, idx in c.word))
+        for u, v in zip(compute_u_vectors(c), compute_u_vectors(d)):
+            assert v.gap_index == u.gap_index
+            for k in range(1, n + 1):
+                assert v.coefficients[pi[k] - 1] == u.coefficients[k - 1]
+        assert classify_gaps(d) == classify_gaps(c)
+        s_free, r_free = find_free_variables(c)
+        assert find_free_variables(d) == ({pi[k] for k in s_free},
+                                          {pi[k] for k in r_free})
+        assert find_isolated_intervals(d) == {pi[k] for k in find_isolated_intervals(c)}
+        assert len(relabeling_classes([c, d])) == 1
+
+    @given(c=_words())
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_swaps_r_and_s(self, c) -> None:
+        n = c.n
+        d = _swapped_roles(c)
+        assert _swapped_roles(d) == c
+        assert find_free_variables(d) == find_free_variables(c)[::-1]
+        assert find_isolated_intervals(d) == find_isolated_intervals(c)
+        assert gaps_preceding_r(d) == tuple(sorted(2 * n - j for j in gaps_following_s(c)))
+        assert gaps_following_s(d) == tuple(sorted(2 * n - j for j in gaps_preceding_r(c)))
+        original = compute_u_vectors(c)
+        for v in compute_u_vectors(d):
+            assert v.coefficients == original[2 * n - v.gap_index - 1].coefficients
+
+    @given(c=_words(n=st.just(5)))
+    @settings(max_examples=150, deadline=None)
+    def test_span_identities_at_five_arcs(self, c) -> None:
+        s_free, r_free = find_free_variables(c)
+        everything = set(range(1, 6))
+        assert _span_set(c, gaps_preceding_r(c)) == everything - r_free
+        assert _span_set(c, gaps_following_s(c)) == everything - s_free
 
 
 # ---------------------------------------------------------------------------

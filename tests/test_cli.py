@@ -27,7 +27,7 @@ from siltlab.estimators import (
     alpha_time_profile,
     full_triangle,
 )
-from siltlab.expectation import mean_alpha_prime
+from siltlab.expectation import mean_alpha_prime, mean_alpha_prime_eps
 from siltlab.fbm import generate_path
 from siltlab.io import read_csv
 from siltlab.mollifier import Mollifier
@@ -127,8 +127,10 @@ class TestConfiguration:
         (["expectation", "--H", "0.3", "--y", "1e-170"], "y"),
         (["expectation", "--H", "0.5", "--y", "1e-150", "--epsilon", "1e-300"],
          "epsilon"),
+        (["expectation", "--H", "0.1", "--y", "1", "--t", "1e300"], "t"),
     ], ids=["arcs-n-6", "exponents-without-lam", "exponents-t-without-gamma",
-            "expectation-y-underflows", "expectation-epsilon-underflows"])
+            "expectation-y-underflows", "expectation-epsilon-underflows",
+            "expectation-mean-overflows"])
     def test_out_of_range_inputs_name_their_field(self, tmp_path, capsys,
                                                   argv, field):
         out = tmp_path / "o"
@@ -276,6 +278,16 @@ class TestExpectation:
         _, rows = read_csv(out / "expectation.csv")
         want = mean_alpha_prime(1.0, 0.1, 0.5).value
         assert float(rows[0]["value"]) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-100, 1e-300])
+    def test_tiny_horizon_is_finite(self, tmp_path, capsys, t):
+        # t^-2H and s^1.5 overflowed Python float powers here (exit 3)
+        out = tmp_path / "o"
+        rc = main(["expectation", "--H", "0.9", "--y", "1", "--t", repr(t),
+                   "--epsilon", "1", "--output", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        _, rows = read_csv(out / "expectation.csv")
+        assert float(rows[0]["value"]) == mean_alpha_prime_eps(t, 1.0, 1.0, 0.9).value
 
     def test_reports_value_over_y(self, tmp_path, capsys):
         rc = main(["expectation", "--H", "0.5", "--y", "1e-4",

@@ -9,6 +9,9 @@ Tests cover:
      only and the prefactor on -y.
   5. The whole domain: every draw returns a finite, resolved, exactly odd
      value, and the mean is exactly self-similar in the horizon.
+  6. Horizons from 1e-300 to 1e300: a finite, resolved, exactly odd value
+     or an UnderflowError naming its field, and the closed-form limit
+     -y t^2 eps^-1.5 e^(-y^2 / 2 eps) / (2 sqrt(2 pi)) where t^2H << eps.
 
 The literal mpmath references come from tests/mpmath_references.py.
 """
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -96,6 +99,28 @@ class TestMollifiedMean:
         assert got.value == pytest.approx(want, rel=1e-10)
         assert got.abs_error_estimate <= 1e-8 * abs(got.value)
 
+    def test_tiny_horizon_against_mpmath(self) -> None:
+        # b = eps t^-2H = 1e180: s^1.5 overflowed a Python float power
+        got = mean_alpha_prime_eps(1e-100, 1.0, 1.0, 0.9)
+        assert got.value == pytest.approx(-1.2098536225957168e-201, rel=1e-12, abs=0.0)
+        assert got.abs_error_estimate <= 1e-10 * abs(got.value)
+
+    def test_tiny_horizon_underflows_to_zero(self) -> None:
+        # E ~ -y t^2 eps^-1.5 e^-1/2 / (2 sqrt(2 pi)), about 1e-601
+        assert mean_alpha_prime_eps(1e-300, 1.0, 1.0, 0.9).value == 0.0
+        # eps t^-2H = 1e327 overflows to inf; s = inf made a g / s nan
+        assert mean_alpha_prime_eps(1e-200, 1e90, 1e207, 0.3).value == 0.0
+
+    def test_overflowing_mean_names_t(self) -> None:
+        # E ~ y t^(2-3H) = 1e510 at H = 0.1: t^(2-3H) overflows
+        with pytest.raises(UnderflowError) as info:
+            mean_alpha_prime_eps(1e300, 1.0, 1.0, 0.1)
+        assert info.value.parameter == "t"
+        # every factor is in range, and their product is not
+        with pytest.raises(UnderflowError) as info:
+            mean_alpha_prime(1.7e308, 1000.0, 0.45)
+        assert info.value.parameter == "t"
+
     def test_tiny_epsilon_is_the_sharp_mean(self) -> None:
         # in u, eps + u^2H = 1e-300 made var^1.5 underflow to 0
         got = mean_alpha_prime_eps(1.0, 0.1, 1e-300, 0.5).value
@@ -162,6 +187,13 @@ class TestSharpMean:
         with pytest.raises(UnderflowError) as info:
             mean_alpha_prime(1.0, y, 0.5)
         assert info.value.parameter == "y"
+
+    def test_tiny_horizon(self) -> None:
+        # t^-2H = 1e540 overflowed a Python float power: a = 5e539 puts
+        # exp(-a g) below range, while y = 1e-270 leaves a = 0.5
+        assert mean_alpha_prime(1e-300, 1.0, 0.9).value == 0.0
+        got = mean_alpha_prime(1e-300, 1e-270, 0.9).value
+        assert got == pytest.approx(-9.342668583221763e-62, rel=1e-12, abs=0.0)
 
     def test_huge_offset_underflows_to_zero(self) -> None:
         assert mean_alpha_prime(1.0, 60.0, 0.3).value == 0.0
@@ -330,3 +362,41 @@ class TestWholeDomain:
         base = _either_mean(t, y, eps, h).value
         scaled = _either_mean(c * t, c**h * y, c ** (2.0 * h) * eps, h).value
         assert scaled == pytest.approx(c ** (2.0 - 2.0 * h) * base, rel=1e-12)
+
+
+class TestExtremeHorizons:
+    """t = 10^k for k in [-300, 300], the rest of the domain as above."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.floats(-300.0, 300.0), y=_Y, eps=_EPS, h=_H)
+    def test_finite_resolved_and_odd_or_named(self, k, y, eps, h) -> None:
+        t = 10.0**k
+        try:
+            res = _either_mean(t, y, eps, h)
+        except UnderflowError as exc:
+            assert exc.parameter in ("t", "y", "epsilon")
+            return
+        assert math.isfinite(res.value)
+        assert res.abs_error_estimate <= 1e-8 * abs(res.value)
+        mirrored = _either_mean(t, -y, eps, h).value
+        if res.value == 0.0:   # an underflowed mean is 0.0 for either sign
+            assert mirrored == 0.0
+        else:
+            assert _bits(mirrored) == _bits(-res.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.floats(-300.0, -10.0), y=_Y, e=st.floats(-8.0, 0.0), h=_H)
+    @example(k=-81.0, y=-0.003, e=-7.8, h=0.93)   # the integral in a, b underflowed to 0
+    def test_tiny_horizon_limit(self, k, y, e, h) -> None:
+        # d = t^2H / eps: the mean is the closed form up to a relative O((1 + c) d)
+        t, eps = 10.0**k, 10.0**e
+        c = y * y / (2.0 * eps)
+        assume(2.0 * h * k - e + math.log10(1.0 + c) < -14.0)
+        log_want = (math.log(abs(y)) + 2.0 * math.log(t) - 1.5 * math.log(eps) - c
+                    - math.log(2.0 * SQRT_2PI))
+        got = mean_alpha_prime_eps(t, y, eps, h).value
+        if log_want < -750.0:
+            assert got == 0.0
+        elif log_want > -700.0:
+            want = -math.copysign(math.exp(log_want), y)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)

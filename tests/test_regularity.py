@@ -4,7 +4,8 @@ Tests cover:
   1. Test functions: constructors, derivative identities, validation.
   2. Occupation identities for alpha and its derivative, including the
      exact total-mass pin for g = 1 and the naive-quadrature cross-check.
-     The uniform-grid table lookup is checked against np.interp.
+     The uniform-grid table lookup is checked against np.interp, and the
+     grid-leakage gate on the occupation bench's paths against ndtr.
   3. Central-difference consistency of the derivative estimator.
   4. Structure-function regression on fields of known regularity, and the
      Holder-order threshold table.
@@ -17,7 +18,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from siltlab import regularity
 from siltlab.estimators import (
     alpha_eps,
     alpha_prime_eps,
@@ -30,7 +33,9 @@ from siltlab.mollifier import Mollifier
 from siltlab.regularity import (
     HolderReport,
     TestFunction,
+    _check_leakage,
     _convolution_table,
+    _pair_diff_range,
     _trapezoid_weights,
     _uniform_lookup,
     continuity_probe_at_zero,
@@ -134,6 +139,45 @@ class TestOccupationAlpha:
         with pytest.raises(ValueError):
             occupation_check_alpha(path, TestFunction.gaussian(0.0, 1.0),
                                    np.linspace(-0.05, 0.05, 11), Mollifier(0.01))
+
+
+class TestLeakage:
+    """The grid-leakage gate on the paths and grid of the occupation bench."""
+
+    GRID = np.linspace(-4.2, 4.2, 337)
+    WIDE = (75, 7938, 7953, 8031)
+    NARROW = tuple(range(1, 13)) + tuple(range(7919, 7931))
+
+    @staticmethod
+    def _path(seed):
+        return generate_path((0.25, 0.4, 0.5)[seed % 3], 1.0, 4096, seed)
+
+    def _reference(self, path, eps):
+        d_lo, d_hi = _pair_diff_range(path)
+        sig = math.sqrt(eps)
+        return float(ndtr((self.GRID[0] - d_lo) / sig) + ndtr((d_hi - self.GRID[-1]) / sig))
+
+    @pytest.mark.parametrize("seed", WIDE)
+    def test_wide_paths_rejected(self, seed) -> None:
+        with pytest.raises(ValueError, match="leakage"):
+            _check_leakage(self._path(seed), self.GRID, Mollifier(0.01))
+
+    @pytest.mark.parametrize("seed", NARROW)
+    def test_narrow_paths_pass(self, seed) -> None:
+        path = self._path(seed)
+        assert _check_leakage(path, self.GRID, Mollifier(0.01)) <= 1e-6
+
+    def test_value_matches_ndtr(self, monkeypatch) -> None:
+        monkeypatch.setattr(regularity, "_LEAK_LIMIT", math.inf)
+        for seed in self.WIDE + self.NARROW:
+            path = self._path(seed)
+            for eps in (0.005, 0.01, 0.05, 0.2):
+                got = _check_leakage(path, self.GRID, Mollifier(eps))
+                want = self._reference(path, eps)
+                if want < 1e-290:   # ndtr flushes to 0 a tail that erfc keeps subnormal
+                    assert got < 1e-290, (seed, eps, got, want)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (seed, eps)
 
 
 class TestUniformLookup:
