@@ -9,6 +9,9 @@ arc-diagram combinatorics behind the moment bounds.
 
 __version__ = "0.1.0"
 
+import ctypes
+import os
+
 from .estimators import (
     SiltEstimate,
     alpha_eps,
@@ -53,3 +56,29 @@ __all__ = [
     "regime_classify",
     "__version__",
 ]
+
+# glibc's mallopt parameters, and the values siltlab fixes.  glibc raises its
+# mmap threshold to the largest block freed so far, and the trim threshold
+# with it, so without this the pair engine's cost depends on what the process
+# ran before: at the thresholds a bare interpreter has, each tile's freed
+# 128 KiB temporaries trim the heap and the next tile faults it back in
+# (about 8,000 minor faults in an n = 4096 alpha_eps at eps = 2e-5).
+# Fixed thresholds also turn off that raising.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
+_TRIM_THRESHOLD = 2 << 20
+
+
+def _fix_malloc_thresholds() -> None:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        libc = ""
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_fix_malloc_thresholds()

@@ -37,6 +37,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # exp(-750) is below double underflow; integrand treated as exactly zero
 _LOG_FLOOR = 750.0
 _EXP_MAX = math.log(sys.float_info.max)
+# logs of the normal doubles, less a margin for the rounding of a log
+_LOG_MIN = math.log(sys.float_info.min) + 1e-9
+_LOG_MAX = _EXP_MAX - 1e-9
 # bound on the discarded tail over the kept integral, and the span of x
 # past the start of the e^-x (or e^((3H-1)x)) decay that reaches it
 _TAIL_REL = 1e-14
@@ -106,35 +109,40 @@ def _quad(f, a, b, epsrel=1e-10, limit=400):
     return val, err
 
 
-def _integral(a: float, b: float, d: float, h: float, off: float = 0.0):
-    """e^off int_0^inf (1-e^-x) e^((3H-1)x - a g/s) s^-1.5 dx, with g = e^(2Hx)
-    and s = d + b g; off <= a / (d + b), the least a g/s, keeps it in range.
+def _cut(a: float, b: float, d: float, h: float, off: float = 0.0,
+         shift: float = 0.0):
+    """Upper limit of _integral, and the field to name if e^(2Hx) overflows there.
 
-    The cut: if a > L b with L = 750 + off, the integrand underflows past
+    If a > L b with L = 750 + off, the integrand underflows past
     g = L d/(a - L b).  Otherwise the cut leaves a tail below _TAIL_REL of
     the kept integral: with q = exp(-a g/s) at the cut (a g/s grows in x),
     the integrand on [x0, cut] is at least (1 - 1/e) 2^-1.5 q r(x) and past
     the cut at most q r(x), where r = (d/b)^1.5 e^-x and x0 = max(bend, 1)
     past the bend g = d/b, or for H < 1/3 r = e^((3H-1)x) and x0 = 1 before
     it.  So the cut is x0 + _TAIL_SPAN, or 1 + _TAIL_SPAN/(1-3H) if that is
-    before the bend.  Only a = b = 0, or e^(2Hx) overflowing below the cut,
-    raises.
+    before the bend.  With a = b = 0 nothing cuts: the limit is inf.
     """
     two_h = 2.0 * h
-    if a == 0.0 and b == 0.0:
-        raise UnderflowError("y", "y is too small: y^2 t^-2H underflows")
     floor = _LOG_FLOOR + off
     excess = a - floor * b
     if excess > 0.0:
-        x_hi, name = math.log(floor * d / excess) / two_h, "y"
-    else:
-        bend = ((math.log(d) if d > 0.0 else -math.inf) - math.log(b)) / two_h
-        x_hi, name = max(bend, 1.0) + _TAIL_SPAN, "epsilon"
-        if 3.0 * h < 1.0 and 1.0 + _TAIL_SPAN / (1.0 - 3.0 * h) < bend:
-            x_hi = 1.0 + _TAIL_SPAN / (1.0 - 3.0 * h)
-    if two_h * x_hi > _EXP_MAX:
-        raise UnderflowError(name, f"{name} is too small: e^(2Hx) leaves "
-                             "double range below the upper limit")
+        return math.log(floor * d / excess) / two_h, "y"
+    if b == 0.0:
+        return math.inf, "y"
+    bend = ((math.log(d) if d > 0.0 else -math.inf) - math.log(b)) / two_h
+    start = 1.0 - shift  # x = 1 before the shift
+    if 3.0 * h < 1.0 and start + _TAIL_SPAN / (1.0 - 3.0 * h) < bend:
+        return start + _TAIL_SPAN / (1.0 - 3.0 * h), "epsilon"
+    return max(bend, start) + _TAIL_SPAN, "epsilon"
+
+
+def _integral(a: float, b: float, d: float, h: float, x_hi: float,
+              off: float = 0.0, shift: float = 0.0):
+    """e^off int (1-e^-(x+shift)) e^((3H-1)x - a g/s) s^-1.5 dx over
+    [-shift, x_hi], with g = e^(2Hx) and s = d + b g: x is log(t/u) less
+    the shift.  off <= the least a g/s, at x = -shift, keeps it in range."""
+    two_h = 2.0 * h
+    floor = _LOG_FLOOR + off
 
     def integrand(x):
         g = math.exp(two_h * x)
@@ -142,9 +150,10 @@ def _integral(a: float, b: float, d: float, h: float, off: float = 0.0):
         arg = a * g / s
         if arg >= floor:
             return 0.0
-        return (1.0 - math.exp(-x)) * math.exp((3.0 * h - 1.0) * x - (arg - off)) / s**1.5
+        return ((1.0 - math.exp(-(x + shift)))
+                * math.exp((3.0 * h - 1.0) * x - (arg - off)) / s**1.5)
 
-    return _quad(integrand, 0.0, x_hi)
+    return _quad(integrand, 0.0 - shift, x_hi)
 
 
 def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
@@ -152,9 +161,15 @@ def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
 
     With a = y^2 t^-2H / 2 and b = epsilon t^-2H,
     E = -y t^(2-3H)/sqrt(2 pi) * _integral(a, b, 1).  That integral is
-    about exp(-a/(1+b)) (1+b)^-1.5.  Where this is below e^-_LOG_SCALED, or
-    a power or E overflows, E is formed in logs instead: for b > 1 the
-    factor b^-1.5 leaves s (_integral(a/b, 1, 1/b) times b^-1.5), the
+    about exp(-a/(1+b)) (1+b)^-1.5.  It is taken directly, with Python
+    powers and no rescaling, where t^-2H, t^(2-3H) and the prefactor are
+    normal doubles, the estimate is above e^-_LOG_SCALED, and e^(2Hx) and
+    s^1.5 are in range at the cut; there every value keeps the bits of
+    this plain rule, except that a y^2 below the normal range is formed
+    in logs.  Otherwise E is formed in logs: for b > 1 the factor b^-1.5
+    leaves s (_integral(a/b, 1, 1/b) times b^-1.5); for t > 1 x shifts by
+    log t, or less where y^2/2 or epsilon exceeds 1, so u is measured in
+    its own units and a horizon above 1 never makes a cut overflow; the
     offset a/(d+b) leaves the exponent, and the prefactor is exponentiated
     last.  A result below double range is 0; one above raises
     UnderflowError naming t.  Where a or b alone underflows, it drops
@@ -165,31 +180,44 @@ def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
     if y == 0.0:
         return ExpectationResult(0.0, 0.0, t, 0.0, epsilon, h)
     two_h = 2.0 * h
-    try:
+    log_t, log_y = math.log(t), math.log(abs(y))
+    log_pref = log_y + (2.0 - 3.0 * h) * log_t - math.log(_SQRT_2PI)
+    if all(_LOG_MIN < v < _LOG_MAX
+           for v in (-two_h * log_t, (2.0 - 3.0 * h) * log_t, log_pref,
+                     log_pref + math.log(_SQRT_2PI))):
         scale = t**-two_h
         a, b = y * y * scale / 2.0, epsilon * scale
+        if y * y < sys.float_info.min:  # y^2 lost bits below the normal range
+            a = math.exp(2.0 * log_y - math.log(2.0) - two_h * log_t)
         if a / (1.0 + b) + 1.5 * math.log1p(b) < _LOG_SCALED:
-            val, err = _integral(a, b, 1.0, h)
-            pref = -y * t ** (2.0 - 3.0 * h) / _SQRT_2PI
-            if abs(pref * val) < math.inf:
+            x_hi, _ = _cut(a, b, 1.0, h)
+            if (two_h * x_hi < _EXP_MAX
+                    and 1.5 * math.log1p(b * math.exp(two_h * x_hi)) < _EXP_MAX):
+                val, err = _integral(a, b, 1.0, h, x_hi)
+                pref = -y * t ** (2.0 - 3.0 * h) / _SQRT_2PI
+                if not abs(pref * val) < math.inf:
+                    raise UnderflowError("t", f"t = {t:g} puts the mean past double range")
                 return ExpectationResult(pref * val, abs(pref) * err, t, y, epsilon, h)
-    except OverflowError:
-        pass
-    log_t, log_y = math.log(t), math.log(abs(y))
     log_a = 2.0 * log_y - math.log(2.0) - two_h * log_t
     log_b = math.log(epsilon) - two_h * log_t if epsilon > 0.0 else -math.inf
-    log_pref = log_y + (2.0 - 3.0 * h) * log_t - math.log(_SQRT_2PI)
+    d = 1.0
     if log_b > 0.0:
-        log_a, b, d = log_a - log_b, 1.0, math.exp(-log_b)
-        log_pref -= 1.5 * log_b
-    else:
-        b, d = math.exp(log_b), 1.0
+        log_a, log_pref, log_b, d = (log_a - log_b, log_pref - 1.5 * log_b,
+                                     0.0, math.exp(-log_b))
     # an a past double range has an offset past _OFF_MAX
-    a = math.exp(min(log_a, _EXP_MAX))
+    a, b = math.exp(min(log_a, _EXP_MAX)), math.exp(log_b)
     off = a / (d + b)
     if off > _OFF_MAX:
         return ExpectationResult(0.0, 0.0, t, y, epsilon, h)
-    val, err = _integral(a, b, d, h, off)
+    shift = max(0.0, min(log_t, -max(log_a, log_b) / two_h))
+    if shift > 0.0:  # then a, b < 1 and d = 1
+        a, b = math.exp(log_a + two_h * shift), math.exp(log_b + two_h * shift)
+        log_pref += (3.0 * h - 1.0) * shift
+    x_hi, name = _cut(a, b, d, h, off, shift)
+    if two_h * x_hi > _EXP_MAX:
+        raise UnderflowError(name, f"{name} is too small: e^(2Hx) leaves "
+                             "double range below the upper limit")
+    val, err = _integral(a, b, d, h, x_hi, off, shift)
     log_value = log_pref - off + math.log(val)
     if log_value > _EXP_MAX:
         raise UnderflowError("t", f"t = {t:g} puts the mean past double range")

@@ -7,8 +7,9 @@ u-form of the mean,
     E = -y / sqrt(2 pi) * int_0^t (t-u) (eps + u^2H)^(-3/2)
                                    exp(-y^2 / (2 (eps + u^2H))) du,
 
-in v = u/t (so a tiny horizon does not shrink the integral below
-mpmath's absolute error floor), with mpmath tanh-sinh quadrature at 40
+in v = u/min(t, 1) (so a tiny horizon does not shrink the integral
+below mpmath's absolute error floor, nor a huge one crowd it into
+pieces far narrower than the horizon), with mpmath tanh-sinh quadrature at 40
 working digits, on pieces split at every power of ten from well below
 the integrand's scales eps^(1/2H) and |y|^(1/H) up to t.  A value whose
 mpmath error estimate exceeds 1e-30 relative raises ArithmeticError
@@ -35,6 +36,7 @@ POINTS = [
     (0.5, 3.72, 0.154, 0.674),
     (1e-100, 1.0, 1.0, 0.9),
     (1e-300, 1e-270, 0.0, 0.9),
+    (1e175, 1.0, 1.0, 0.9),
 ]
 
 
@@ -45,19 +47,21 @@ def reference_mean(t, y, eps, h, dps=30):
         if y == 0:
             return mp.mpf(0)
 
+        c = min(t, mp.mpf(1))
+
         def integrand(v):
-            var = eps + (t * v) ** (2 * h)
-            return (1 - v) * var ** mp.mpf(-1.5) * mp.exp(-y * y / (2 * var))
+            var = eps + (c * v) ** (2 * h)
+            return (t / c - v) * var ** mp.mpf(-1.5) * mp.exp(-y * y / (2 * var))
 
         scales = [abs(y) ** (1 / h)] + ([eps ** (1 / (2 * h))] if eps > 0 else [])
         u = min(min(scales), t) / 1000
         pieces = [mp.mpf(0)]
         while u < t:
-            pieces.append(u / t)
+            pieces.append(u / c)
             u *= 10
-        pieces.append(mp.mpf(1))
+        pieces.append(t / c)
         value, error = mp.quad(integrand, pieces, error=True)
-        value, error = t * t * value, t * t * error
+        value, error = c * c * value, c * c * error
         if error > abs(value) * mp.mpf(10) ** -dps:
             point = ", ".join(mp.nstr(v, 17) for v in (t, y, eps, h))
             raise ArithmeticError(f"mpmath error estimate {mp.nstr(error, 3)} "

@@ -279,9 +279,10 @@ class TestExpectation:
         want = mean_alpha_prime(1.0, 0.1, 0.5).value
         assert float(rows[0]["value"]) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("t", [1e-100, 1e-300])
-    def test_tiny_horizon_is_finite(self, tmp_path, capsys, t):
-        # t^-2H and s^1.5 overflowed Python float powers here (exit 3)
+    @pytest.mark.parametrize("t", [1e-100, 1e-300, 1e175])
+    def test_extreme_horizon_is_finite(self, tmp_path, capsys, t):
+        # t^-2H and s^1.5 overflowed Python float powers at the tiny
+        # horizons (exit 3); at 1e175 t^-2H is subnormal (exit 2)
         out = tmp_path / "o"
         rc = main(["expectation", "--H", "0.9", "--y", "1", "--t", repr(t),
                    "--epsilon", "1", "--output", str(out)])

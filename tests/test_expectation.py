@@ -10,7 +10,8 @@ Tests cover:
   5. The whole domain: every draw returns a finite, resolved, exactly odd
      value, and the mean is exactly self-similar in the horizon.
   6. Horizons from 1e-300 to 1e300: a finite, resolved, exactly odd value
-     or an UnderflowError naming its field, and the closed-form limit
+     or, where the mean leaves double range, an UnderflowError naming t;
+     the linear growth past t^2H >> eps; and the closed-form limit
      -y t^2 eps^-1.5 e^(-y^2 / 2 eps) / (2 sqrt(2 pi)) where t^2H << eps.
 
 The literal mpmath references come from tests/mpmath_references.py.
@@ -105,6 +106,21 @@ class TestMollifiedMean:
         assert got.value == pytest.approx(-1.2098536225957168e-201, rel=1e-12, abs=0.0)
         assert got.abs_error_estimate <= 1e-10 * abs(got.value)
 
+    def test_huge_horizon_against_mpmath(self) -> None:
+        # t^-2H = 1e-315 is subnormal, and e^(2Hx) overflowed at the cut
+        got = mean_alpha_prime_eps(1e175, 1.0, 1.0, 0.9)
+        assert got.value == pytest.approx(-3.0614164643833954e174, rel=1e-12, abs=0.0)
+        assert got.abs_error_estimate <= 1e-10 * abs(got.value)
+
+    @pytest.mark.parametrize("t", [1e150, 1e157, 1e178, 1e300])
+    def test_huge_horizon_is_linear_in_t(self, t) -> None:
+        # E = -(t F0 - F1) / sqrt(2 pi) with F0 = int_0^inf f and F1 = int_0^inf u f
+        # up to tails of order t^-0.7 (3H > 2): the mpmath value above over t.
+        # 1e150: the direct rule; 1e157: its cut overflows; 1e178: t^-2H is
+        # subnormal; 1e300: it underflows to 0
+        got = mean_alpha_prime_eps(t, 1.0, 1.0, 0.9).value / t
+        assert got == pytest.approx(-3.0614164643833954e-1, rel=1e-12, abs=0.0)
+
     def test_tiny_horizon_underflows_to_zero(self) -> None:
         # E ~ -y t^2 eps^-1.5 e^-1/2 / (2 sqrt(2 pi)), about 1e-601
         assert mean_alpha_prime_eps(1e-300, 1.0, 1.0, 0.9).value == 0.0
@@ -197,6 +213,17 @@ class TestSharpMean:
 
     def test_huge_offset_underflows_to_zero(self) -> None:
         assert mean_alpha_prime(1.0, 60.0, 0.3).value == 0.0
+
+    @pytest.mark.parametrize("t,y,c,y1", [
+        (1e200, 1e154, 1e40, 1e-26),    # t^-2H = 1e-360 underflowed: a = 0 named y
+        (1e300, 1e200, 1e60, 1e-70),    # y^2 overflows; the shift stops at a = 1
+        (1e-150, 1e-160, 1e-30, 1e-25),  # y^2 is subnormal, t^-2H y^2 is not
+    ])
+    def test_extreme_horizon_is_self_similar(self, t, y, c, y1) -> None:
+        # E(t, y) = t^(2-2H) E(1, y t^-H), here with t^(2-2H) = c
+        got = mean_alpha_prime(t, y, 0.9).value
+        want = c * mean_alpha_prime(1.0, y1, 0.9).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_finite_above_two_thirds(self) -> None:
         # pointwise expectation exists for every H at y != 0
@@ -340,8 +367,41 @@ _EPS = st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e))
 _H = st.floats(0.02, 0.98)
 
 
+def _plain_rule(t, y, eps, h):
+    """The x = log(t/u) rule with Python powers and no rescaling, as the
+    means computed it before they reached extreme horizons."""
+    two_h = 2.0 * h
+    a, b = y * y * t**-two_h / 2.0, eps * t**-two_h
+    span = math.log(1.0 + 2.0**1.5 / ((1.0 - math.exp(-1.0)) * 1e-14))
+    if a > 750.0 * b:
+        x_hi = math.log(750.0 / (a - 750.0 * b)) / two_h
+    else:
+        bend = -math.log(b) / two_h
+        x_hi = max(bend, 1.0) + span
+        if 3.0 * h < 1.0 and 1.0 + span / (1.0 - 3.0 * h) < bend:
+            x_hi = 1.0 + span / (1.0 - 3.0 * h)
+
+    def integrand(x):
+        g = math.exp(two_h * x)
+        s = 1.0 + b * g
+        arg = a * g / s
+        if arg >= 750.0:
+            return 0.0
+        return (1.0 - math.exp(-x)) * math.exp((3.0 * h - 1.0) * x - arg) / s**1.5
+
+    val = quad(integrand, 0.0, x_hi, epsabs=0.0, epsrel=1e-10, limit=400)[0]
+    return -y * t ** (2.0 - 3.0 * h) / SQRT_2PI * val
+
+
 class TestWholeDomain:
     """H in [0.02, 0.98], |y| in [1e-6, 4], eps in {0} + [1e-8, 1], t in [1/4, 4]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=_T, y=_Y, eps=_EPS, h=_H)
+    def test_plain_rule_bit_for_bit(self, t, y, eps, h) -> None:
+        # the log-scaled route for extreme horizons leaves these bits alone
+        got = _either_mean(t, y, eps, h).value
+        assert _bits(got) == _bits(_plain_rule(t, y, eps, h))
 
     @settings(max_examples=300, deadline=None)
     @given(t=_T, y=_Y, eps=_EPS, h=_H)
@@ -369,12 +429,17 @@ class TestExtremeHorizons:
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.floats(-300.0, 300.0), y=_Y, eps=_EPS, h=_H)
-    def test_finite_resolved_and_odd_or_named(self, k, y, eps, h) -> None:
+    @example(k=175.0, y=1.0, eps=1.0, h=0.9)   # t^-2H is subnormal
+    @example(k=157.0, y=1.0, eps=1.0, h=0.9)   # the cut overflowed
+    @example(k=200.0, y=1.0, eps=0.0, h=0.9)   # t^-2H underflows to 0
+    def test_finite_resolved_and_odd_or_past_range(self, k, y, eps, h) -> None:
+        # with |y| >= 1e-6 and eps >= 1e-8 (or 0) neither y nor eps is too
+        # small: only a mean past double range may raise, and it names t
         t = 10.0**k
         try:
             res = _either_mean(t, y, eps, h)
         except UnderflowError as exc:
-            assert exc.parameter in ("t", "y", "epsilon")
+            assert exc.parameter == "t"
             return
         assert math.isfinite(res.value)
         assert res.abs_error_estimate <= 1e-8 * abs(res.value)
