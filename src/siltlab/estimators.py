@@ -255,7 +255,9 @@ def _kernel(y, m: Mollifier, derivative: bool):
     def kernel(d):
         return -f_eps_prime(d - y, m) if derivative else f_eps(d - y, m)
 
-    # beyond rho every term is 0.0 (nan for f_eps' if eps^3 underflows)
+    # beyond rho = sqrt(-2 _EXP_FLOOR eps) = sqrt(1416 eps) the exp argument
+    # is under the floor, so every term is 0.0 (nan for f_eps' if eps^3
+    # underflows); the factor 1 + 1e-6 covers the rounding of that argument
     if y.size and (not derivative or m.epsilon ** 3 > 0.0):
         rho = math.sqrt(-2.0 * _EXP_FLOOR * m.epsilon) * (1.0 + 1e-6)
         kernel.support = (float(y.min()) - rho, float(y.max()) + rho)

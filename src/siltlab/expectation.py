@@ -228,12 +228,19 @@ def _mean(t: float, y: float, epsilon: float, h: float) -> ExpectationResult:
                              t, y, epsilon, h)
 
 
+def _check_finite(**fields: float) -> None:
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def mean_alpha_prime_eps(t: float, y: float, epsilon: float,
                          hurst: float) -> ExpectationResult:
     """E of the mollified derivative estimator at spatial offset y.
 
     Exact up to quadrature error; odd in y, and identically 0 at y = 0.
     """
+    _check_finite(t=t, y=y, epsilon=epsilon)
     h = check_hurst(hurst)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive; see mean_alpha_prime")
@@ -246,6 +253,7 @@ def mean_alpha_prime(t: float, y: float, hurst: float) -> ExpectationResult:
     Continuous in y away from 0.  The u -> 0 endpoint is an essential
     zero, exactly 0 in doubles beyond the upper limit.
     """
+    _check_finite(t=t, y=y)
     return _mean(t, y, 0.0, check_hurst(hurst))
 
 

@@ -13,13 +13,13 @@ import numpy as np
 
 __all__ = ["Mollifier", "f_eps", "f_eps_prime", "fourier_check"]
 
-# exp returns subnormals below exp(-708.4) and rounds to zero below about
-# exp(-745.13); arguments under the floor are cut to exact zero so Riemann
-# sums reproduce across platforms.  They are replaced by 0 rather than
-# clamped to the floor: a subnormal result takes libm's slow path (~100x a
-# normal one) only for the value to be discarded.  Arguments in
-# [-745, -708.4] still take that path.
-_EXP_FLOOR = -745.0
+# exp(x) is subnormal for x below about -708.4 (log sys.float_info.min), and
+# arguments under the floor are cut to exact zero, so no kernel exp result is
+# subnormal and Riemann sums do not depend on how a libm rounds one.  They
+# are replaced by 0 before exp is taken: a subnormal result takes libm's
+# slow path (~100x a normal one).  exp(-708) = 3.3e-308 is the least exp
+# value kept.
+_EXP_FLOOR = -708.0
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from siltlab.estimators import (
     region_union,
 )
 from siltlab.fbm import FbmPath, generate_path
-from siltlab.mollifier import Mollifier, f_eps, f_eps_prime
+from siltlab.mollifier import _EXP_FLOOR, Mollifier, f_eps, f_eps_prime
 
 
 def _brute_alpha(path, y, m, kappa=0.0):
@@ -520,7 +520,7 @@ def _last_nonzero_offset(kernel, y, m, side):
     """The pair difference d furthest from y on the given side (+1 or -1)
     at which the kernel is still nonzero: beyond it the exp clamp zeroes
     every term."""
-    d = y + side * math.sqrt(1490.0 * m.epsilon)
+    d = y + side * math.sqrt(-2.0 * _EXP_FLOOR * m.epsilon)
     while kernel(np.array([[d]])).any():
         d = np.nextafter(d, side * np.inf)
     while not kernel(np.array([[d]])).any():
@@ -563,7 +563,7 @@ class TestFarFieldSkip:
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_support_boundary(self, derivative, y, side, ulps) -> None:
         # eps = 1.5e-3 puts the cut at |d - y| ~ 1.5, where both kernels
-        # still leave a subnormal term: exp(-745) times |d - y| > 1/2
+        # still leave a nonzero term: exp(-708) times |d - y| > 1/2
         m = Mollifier(1.5e-3)
         kernel = estimators._kernel(y, m, derivative)
         d = _last_nonzero_offset(kernel, y, m, side)

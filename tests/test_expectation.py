@@ -13,6 +13,8 @@ Tests cover:
      or, where the mean leaves double range, an UnderflowError naming t;
      the linear growth past t^2H >> eps; and the closed-form limit
      -y t^2 eps^-1.5 e^(-y^2 / 2 eps) / (2 sqrt(2 pi)) where t^2H << eps.
+  7. Non-finite t, y or epsilon raises a ValueError naming it before any
+     quadrature.
 
 The literal mpmath references come from tests/mpmath_references.py.
 """
@@ -25,6 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from siltlab import expectation
 from siltlab.expectation import (
     AsymptoticRegime,
     ExpectationResult,
@@ -83,7 +86,7 @@ class TestMollifiedMean:
     ])
     def test_small_hurst_against_mpmath(self, y, eps, h, want) -> None:
         got = mean_alpha_prime_eps(1.0, y, eps, h)
-        assert got.value == pytest.approx(want, rel=1e-10)
+        assert got.value == pytest.approx(want, rel=1e-10, abs=0.0)
         assert got.abs_error_estimate < 1e-10 * abs(want)
 
     # the u rule raised QuadratureError at the first two points and was
@@ -97,7 +100,7 @@ class TestMollifiedMean:
     ])
     def test_small_epsilon_against_mpmath(self, t, y, eps, h, want) -> None:
         got = mean_alpha_prime_eps(t, y, eps, h)
-        assert got.value == pytest.approx(want, rel=1e-10)
+        assert got.value == pytest.approx(want, rel=1e-10, abs=0.0)
         assert got.abs_error_estimate <= 1e-8 * abs(got.value)
 
     def test_tiny_horizon_against_mpmath(self) -> None:
@@ -229,6 +232,31 @@ class TestSharpMean:
         # pointwise expectation exists for every H at y != 0
         res = mean_alpha_prime(1.0, 0.5, 0.8)
         assert math.isfinite(res.value) and res.value < 0.0
+
+
+class TestNonFiniteInput:
+    """nan and +-inf are rejected up front, with the field named."""
+
+    VALID = {"t": 1.0, "y": 0.5, "epsilon": 0.01}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("sharp,field", [
+        (False, "t"), (False, "y"), (False, "epsilon"), (True, "t"), (True, "y"),
+    ], ids=["eps-t", "eps-y", "eps-epsilon", "sharp-t", "sharp-y"])
+    def test_rejected_before_any_work(self, monkeypatch, sharp, field, value) -> None:
+        def no_work(*args):
+            raise AssertionError("the mean was computed")
+
+        monkeypatch.setattr(expectation, "_mean", no_work)
+        args = dict(self.VALID, **{field: value})
+        with pytest.raises(ValueError) as info:
+            if sharp:
+                mean_alpha_prime(args["t"], args["y"], 0.4)
+            else:
+                mean_alpha_prime_eps(args["t"], args["y"], args["epsilon"], 0.4)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{field} must be finite")
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,20 @@ Tests cover:
   1. Density normalization, peak value, symmetry, derivative identity.
   2. Overflow safety far in the tails.
   3. The far-field clamp: bitwise agreement with the clamp-to-floor
-     formula it replaced, and no subnormal exp on clamped arguments.
+     formula it replaced, no subnormal exp on clamped arguments, and exp's
+     subnormal band cut to exact zero, so no kernel exp is subnormal.
      f_eps' returns its limit 0 at +-inf, where that formula gives nan.
   4. The Fourier-inversion cross-check (with and without truncation).
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from siltlab.mollifier import (
     _EXP_FLOOR,
@@ -132,15 +136,31 @@ class TestFarFieldClamp:
     def test_arguments_spanning_the_floor(self) -> None:
         self._assert_bitwise(self._x_for(np.linspace(-800.0, 0.0, 40001)))
 
-    def test_subnormal_band(self) -> None:
-        # exp is subnormal on (-745, -708.4) and must be computed as before
-        x = self._x_for(np.linspace(-745.0, -708.4, 2001)[1:-1])
+    def test_subnormal_band_is_zero(self) -> None:
+        # exp is subnormal on [-745.13, -708.4]: the floor cuts all of it to
+        # 0.0, and no exp is taken there, so nothing underflows
+        args = np.linspace(-745.2, -708.4, 2001)
+        assert np.all(np.exp(args) < sys.float_info.min)
+        x = self._x_for(args)
+        m = Mollifier(self.EPS)
+        with np.errstate(under="raise"):
+            assert np.all(_safe_exp(args) == 0.0)
+            assert np.all(f_eps(x, m) == 0.0)
+            assert np.all(f_eps_prime(x, m) == 0.0)
         self._assert_bitwise(x)
-        assert np.all(f_eps(x, Mollifier(self.EPS)) > 0.0)
+
+    @given(st.floats(-800.0, 0.0))
+    @example(_EXP_FLOOR)
+    @example(float(np.nextafter(_EXP_FLOOR, 0.0)))
+    @example(float(np.nextafter(_EXP_FLOOR, -np.inf)))
+    @example(-math.inf)
+    def test_safe_exp_is_never_subnormal(self, arg) -> None:
+        got = _safe_exp(np.float64(arg))
+        assert got == 0.0 or got >= sys.float_info.min
 
     def test_argument_exactly_at_floor(self) -> None:
-        # -0.5 * 1 * 1 / (1/1490) rounds to exactly -745
-        eps = 1.0 / 1490.0
+        # -0.5 * 1 * 1 / (1/1416) rounds to exactly -708
+        eps = 1.0 / 1416.0
         assert -0.5 * 1.0 * 1.0 / eps == _EXP_FLOOR
         self._assert_bitwise([1.0, -1.0, np.nextafter(1.0, 2.0)], eps)
         assert f_eps(1.0, Mollifier(eps)) > 0.0
